@@ -1,4 +1,4 @@
-"""Distributed executor throughput: localhost fleet vs thread/process.
+"""Distributed executor throughput: localhost fleet vs the thread executor.
 
 Measures the acceptance claims of ``repro.dist``: a remote search over
 two localhost :class:`~repro.dist.WorkerServer` instances returns a
@@ -73,14 +73,6 @@ def test_bench_dist_fleet_vs_local(tmp_path):
         thread_report, elapsed = _timed_search(engine, space)
         thread_s = min(thread_s, elapsed)
 
-    process_s = float("inf")
-    for i in range(REPEATS):
-        engine = SearchEngine(
-            oracle, IMAGENET, cache=str(tmp_path / f"p{i}.json"),
-            executor="process")
-        process_report, elapsed = _timed_search(engine, space)
-        process_s = min(process_s, elapsed)
-
     with WorkerServer() as w1, WorkerServer() as w2:
         fleet = [w1.address, w2.address]
         # Cold: the handshake ships the pickled context and the workers
@@ -116,7 +108,6 @@ def test_bench_dist_fleet_vs_local(tmp_path):
 
     assert _strip_cached(warm_report.asdict()) == \
         _strip_cached(thread_report.asdict())
-    assert process_report.best.candidate == thread_report.best.candidate
     assert served > 0
 
     n = thread_report.stats["candidates"]
@@ -125,8 +116,6 @@ def test_bench_dist_fleet_vs_local(tmp_path):
         f"{FLEET} localhost workers ({served} chunks served)",
         f"thread:        {thread_s * 1e3:8.1f} ms   "
         f"{n / thread_s:8.0f} candidates/s",
-        f"process:       {process_s * 1e3:8.1f} ms   "
-        f"{n / process_s:8.0f} candidates/s",
         f"remote (cold): {remote_cold_s * 1e3:8.1f} ms   "
         f"{n / remote_cold_s:8.0f} candidates/s   (context ship incl.)",
         f"remote (warm): {remote_warm_s * 1e3:8.1f} ms   "
@@ -138,11 +127,9 @@ def test_bench_dist_fleet_vs_local(tmp_path):
         "workers": FLEET,
         "chunks_served": served,
         "thread_wall_ms": thread_s * 1e3,
-        "process_wall_ms": process_s * 1e3,
         "remote_cold_wall_ms": remote_cold_s * 1e3,
         "remote_warm_wall_ms": remote_warm_s * 1e3,
         "candidates_per_s_thread": n / thread_s,
-        "candidates_per_s_process": n / process_s,
         "candidates_per_s_remote_cold": n / remote_cold_s,
         "candidates_per_s_remote_warm": n / remote_warm_s,
     }, higher_is_better=(

@@ -1,16 +1,18 @@
-"""Multi-model sweep: process-pool scaling and cross-model cache reuse.
+"""Multi-model sweep: cold and warm wall time and cross-model cache reuse.
 
 Measures the acceptance claims of the sweep orchestrator: a zoo sweep
-through ``SweepRunner`` produces per-model frontiers + a cross-model
-summary, a warm re-run against the shared cache directory answers every
-candidate from the per-model memos (zero projections), and the process
-backend returns results identical to the thread backend.
+through ``SweepRunner`` on its default (thread) executor produces
+per-model frontiers + a cross-model summary, a warm re-run against the
+shared cache directory answers every candidate from the per-model memos
+(zero projections), and a sweep over a localhost ``repro worker`` fleet
+returns results identical to the thread executor's.
 """
 
 import os
 import time
 
 from repro.data.datasets import IMAGENET
+from repro.dist import WorkerServer
 from repro.search import SweepRunner
 
 from _util import write_report
@@ -19,16 +21,15 @@ MODELS = ("resnet50", "vgg16", "alexnet")
 PES = 64
 
 
-def _runner(cache_dir, executor="process", workers=None):
+def _runner(cache_dir, **engine_kwargs):
     return SweepRunner(
         MODELS,
         IMAGENET,
         pes=PES,
         samples_per_pe=32,
         segments=(2, 4),
-        executor=executor,
-        workers=workers,
         cache_dir=str(cache_dir),
+        **engine_kwargs,
     )
 
 
@@ -66,7 +67,7 @@ def test_bench_sweep_cold_warm_and_report(tmp_path):
     write_report("sweep", [
         f"Multi-model sweep — {', '.join(MODELS)} at p={PES} "
         f"({n} candidates total)",
-        f"cold (process pool): {cold_s * 1e3:8.1f} ms   "
+        f"cold (thread):       {cold_s * 1e3:8.1f} ms   "
         f"{n / cold_s:8.0f} candidates/s",
         f"warm (shared cache): {warm_s * 1e3:8.1f} ms   "
         f"{n / warm_s:8.0f} candidates/s",
@@ -90,10 +91,13 @@ def test_bench_sweep_cold_warm_and_report(tmp_path):
 
 
 def test_bench_sweep_executor_parity(tmp_path):
-    """Thread and process backends agree model-for-model."""
-    thread = _runner(tmp_path / "t", executor="thread").run()
-    process = _runner(tmp_path / "p", executor="process").run()
-    for a, b in zip(thread.results, process.results):
+    """The thread default and a two-worker remote fleet agree
+    model-for-model."""
+    thread = _runner(tmp_path / "t").run()
+    with WorkerServer() as w1, WorkerServer() as w2:
+        remote = _runner(tmp_path / "r", executor="remote",
+                         remote_workers=[w1.address, w2.address]).run()
+    for a, b in zip(thread.results, remote.results):
         assert a.model == b.model
         assert a.best.candidate == b.best.candidate
         assert a.report.stats["candidates"] == b.report.stats["candidates"]

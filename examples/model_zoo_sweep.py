@@ -4,11 +4,12 @@
 Where ``autotune_strategy.py`` searches the configuration space for one
 CNN, this driver answers the production question — "which strategy for
 *each* model in my zoo on this cluster?" — in a single call.  The
-:class:`~repro.search.sweep.SweepRunner` fans every model's search out
-over a process pool (projections are pure-Python CPU work, so the pool
-scales across cores where threads cannot), persists one fingerprinted
-projection-cache file per model in a shared directory, and consolidates
-the per-model Pareto frontiers into CSVs plus a cross-model summary.
+:class:`~repro.search.sweep.SweepRunner` runs every model's search on the
+in-process thread executor (the default; pass ``executor="remote"`` with
+``remote_workers=[...]`` to scale out over ``repro worker`` processes),
+persists one fingerprinted projection-cache file per model in a shared
+directory, and consolidates the per-model Pareto frontiers into CSVs
+plus a cross-model summary.
 
 Run twice to see the cross-model cache at work:
 
@@ -18,7 +19,7 @@ Run twice to see the cross-model cache at work:
 Equivalent CLI:
 
     python -m repro sweep --models resnet50,resnet152,vgg16 -p 64 \\
-        --executor process --cache-dir examples/zoo_cache \\
+        --cache-dir examples/zoo_cache \\
         --report examples/zoo_report
 """
 
@@ -45,7 +46,6 @@ def main() -> None:
         samples_per_pe=32,
         segments=(2, 4, 8),
         comm_policies=("paper", "auto"),   # comm policy as a sweep dimension
-        executor="process",
         cache_dir=CACHE_DIR,
     )
 

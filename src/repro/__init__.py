@@ -35,7 +35,7 @@ persistent projection cache, and multi-objective ranking:
 >>> report = oracle.search(64, IMAGENET, cache="plan.json")  # doctest: +SKIP
 >>> report.best.describe(), [e.describe() for e in report.frontier]  # doctest: +SKIP
 
-Or plan a whole model zoo at once — one process-pool search per model,
+Or plan a whole model zoo at once — one search per model,
 per-model projection caches in a shared directory, consolidated
 frontier reports:
 
@@ -54,7 +54,7 @@ Packages
     calibration, limitation detection.
 ``repro.search``
     Automated strategy search: declarative candidate spaces, feasibility
-    pruning, cached thread-/process-pool evaluation, Pareto frontiers,
+    pruning, cached thread or remote-fleet evaluation, Pareto frontiers,
     and the multi-model sweep orchestrator (``python -m repro search`` /
     ``python -m repro sweep`` on the command line).
 ``repro.models``

@@ -548,8 +548,8 @@ class StrategySpec:
 class SearchSpec:
     """The automated-search dimensions + engine knobs.
 
-    ``executor=None`` means "the entry point's default" — thread for a
-    single-model search, process for a zoo sweep.
+    ``executor=None`` means "the entry point's default": thread, for a
+    single-model search and a zoo sweep alike.
     """
 
     strategies: Tuple[str, ...] = ()
@@ -597,6 +597,12 @@ class SearchSpec:
         if workers is not None:
             workers = _expect_int(workers, f"{field_path}.workers", minimum=1)
         executor = data.get("executor")
+        if executor == "process":
+            raise ScenarioValidationError(
+                f"{field_path}.executor",
+                "the process executor was removed; use 'thread' (the "
+                "default) or 'remote' with a 'repro worker' fleet to "
+                "scale out")
         if executor is not None:
             executor = _expect_choice(executor, EXECUTORS,
                                       f"{field_path}.executor")

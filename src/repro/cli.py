@@ -14,7 +14,7 @@ the time and resources to provision").  This CLI exposes those workflows:
    python -m repro search   --model resnet50 -p 64 --cache plan-cache.json
    python -m repro search   --scenario examples/scenarios/comm_policy_ablation.yaml
    python -m repro sweep    --models resnet50,resnet152,vgg16 -p 64 \
-                            --executor process --cache-dir plan-cache \
+                            --cache-dir plan-cache \
                             --report reports/
    python -m repro simulate --model resnet50 --strategy d -p 64 --batch 2048
    python -m repro validate --scenario examples/scenarios/*.yaml
@@ -138,8 +138,7 @@ def build_parser(
         )
         return p
 
-    def search_parent(default_executor: str = "thread"
-                      ) -> argparse.ArgumentParser:
+    def search_parent() -> argparse.ArgumentParser:
         """Space + engine flags shared by ``search`` and ``sweep``."""
         p = parent()
         opt(p, "--strategies", default=None,
@@ -156,12 +155,12 @@ def build_parser(
             help="evaluation worker-pool width, or (with --executor "
                  "remote) comma-separated host:port worker addresses, "
                  "e.g. 'a:8178,b:8178'")
-        opt(p, "--executor", default=default_executor,
-            choices=("thread", "process", "remote"),
-            help="evaluation backend: GIL-bound threads, a process "
-                 "pool that projects across cores, or a remote "
-                 "'repro worker' fleet (--workers host:port,...) "
-                 f"(default: {default_executor})")
+        # Validated by the scenario layer, whose error names the
+        # removed process executor's replacements.
+        opt(p, "--executor", default="thread", metavar="{thread,remote}",
+            help="evaluation backend: in-process threads (default), "
+                 "or a remote 'repro worker' fleet (--workers "
+                 "host:port,...) to scale out")
         opt(p, "--cache-dir", default=None, metavar="DIR",
             help="shared cross-model cache directory (one "
                  "fingerprinted file per model/cluster)")
@@ -242,7 +241,7 @@ def build_parser(
     swp = add("sweep",
               "multi-model sweep: one search per zoo model, "
               "consolidated frontier report",
-              scenario_p, budget_p, search_parent(default_executor="process"),
+              scenario_p, budget_p, search_parent(),
               json_p, obs_p)
     opt(swp, "--models", default="resnet50,resnet152,vgg16",
         help="comma-separated zoo model names")
@@ -863,7 +862,7 @@ def _cmd_sweep(args) -> int:
     diagnostics = _obs_finish(args, session)
     if args.json:
         return _print_json(result, diagnostics)
-    executor = scenario.search.executor or "process"
+    executor = scenario.search.executor or "thread"
     rows = []
     for res, row in zip(report.results, report.summary_rows()):
         feasible = res.best is not None

@@ -75,7 +75,7 @@ from .tensors import halo_elements
 
 #: Guards lazy :attr:`AnalyticalModel.kernel` compilation.  Shared by
 #: every model instance (first-build contention is a one-off), and kept
-#: out of instance state so models pickle cleanly into process pools.
+#: out of instance state so models pickle cleanly to ``repro worker``.
 _KERNEL_BUILD_LOCK = threading.Lock()
 
 __all__ = [
@@ -343,7 +343,7 @@ class AnalyticalModel:
         (an HTTP server fanning request threads over one shared oracle)
         compile the kernel exactly once; the lock is module-level, not
         an instance attribute, so the model stays picklable for the
-        process-pool executor.
+        remote executor.
         """
         if self._kernel is None:
             with _KERNEL_BUILD_LOCK:

@@ -119,7 +119,7 @@ class ModelKernel:
     """Frozen projection invariants for one ``(model, profile)`` pair.
 
     Built once per :class:`~repro.core.analytical.AnalyticalModel` (and
-    once per process-pool worker, in the pool initializer); sessions
+    once per ``repro worker`` context, when the context installs); sessions
     memoize it alongside the oracle.  All fields are read-only by
     convention; the lazy pipeline/spatial memos only ever gain entries.
     """

@@ -440,9 +440,8 @@ class ParaDL:
         :meth:`sweep` uses.
 
         ``executor`` picks the evaluation backend: ``"thread"``
-        (default), ``"process"`` — which side-steps the GIL by
-        projecting in worker processes — or ``"remote"``, which fans
-        candidate chunks out to the ``repro worker`` fleet named by
+        (default) or ``"remote"``, which fans candidate chunks out to
+        the ``repro worker`` fleet named by
         ``remote_workers`` (``host:port`` addresses; see
         :mod:`repro.dist` and
         :class:`~repro.search.engine.SearchEngine`).
@@ -500,7 +499,7 @@ class ParaDL:
         pe_budgets: Optional[Sequence[int]] = None,
         segments: Sequence[int] = (2, 4, 8),
         comm=None,
-        executor: str = "process",
+        executor: str = "thread",
         workers: Optional[int] = None,
         remote_workers: Optional[Sequence[str]] = None,
         cache_dir: Optional[str] = None,
@@ -510,9 +509,10 @@ class ParaDL:
         plot: bool = False,
         **runner_kwargs,
     ):
-        """Multi-model sweep: one :meth:`search` per zoo model, fanned out
-        over a process pool, consolidated into per-model frontier CSVs and
-        a cross-model summary.
+        """Multi-model sweep: one :meth:`search` per zoo model (thread
+        executor by default; ``executor="remote"`` fans out to a ``repro
+        worker`` fleet), consolidated into per-model frontier CSVs and a
+        cross-model summary.
 
         A sweep is not bound to one oracle, so this is a static facade
         over :class:`~repro.search.sweep.SweepRunner`: ``models`` are zoo

@@ -119,8 +119,8 @@ class RemoteCoordinator:
         ``host:port`` worker addresses (unreachable ones are skipped
         with a warning; :meth:`connect` reports how many survived).
     payload:
-        The pickled oracle context (the same tuple the process-pool
-        initializer ships).
+        The pickled oracle context: the ``(oracle, dataset, pruners,
+        traced, vectorize)`` tuple the engine's remote backend builds.
     digest:
         Context-fingerprint digest the workers verify the payload
         against (see :func:`repro.search.cache.fingerprint_digest`).
@@ -442,7 +442,7 @@ class RemoteCoordinator:
         ]
         for thread in threads:
             thread.start()
-        exited = 0
+        exited = yielded = 0
         try:
             while exited < len(threads):
                 kind, payload = results.get()
@@ -450,9 +450,11 @@ class RemoteCoordinator:
                     exited += 1
                     continue
                 yield payload
-                with lock:
-                    finished = len(done) >= n
-                if finished:
+                yielded += 1
+                # Stop on frames *yielded*, not on ``done``: a worker
+                # marks its chunk done before queueing the frame, so a
+                # full ``done`` set can still have a frame in flight.
+                if yielded == n:
                     break
         finally:
             # All chunks folded (or the caller bailed): stop stragglers

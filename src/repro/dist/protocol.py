@@ -29,9 +29,8 @@ or mis-routed payload can never evaluate candidates against the wrong
 model.
 
 Pickle over a socket is an explicit trust decision: workers execute
-whatever the coordinator ships (exactly like the process-pool backend's
-initializer), so workers must only listen on networks where every peer
-is trusted — see ``docs/distributed.md``.
+whatever the coordinator ships, so workers must only listen on networks
+where every peer is trusted — see ``docs/distributed.md``.
 """
 
 from __future__ import annotations

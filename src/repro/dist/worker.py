@@ -1,7 +1,7 @@
 """Worker side of the distributed search executor.
 
-A :class:`WorkerServer` is the remote analogue of one process-pool
-worker (see ``_process_worker_init`` in :mod:`repro.search.engine`): it
+A :class:`WorkerServer` is the out-of-process half of the engine's
+``executor="remote"`` backend (see :mod:`repro.search.engine`): it
 listens on a socket, receives a pickled oracle context once per
 coordinator handshake, rebuilds a single-worker
 :class:`~repro.search.engine.SearchEngine` around it, and then evaluates
@@ -145,6 +145,12 @@ class WorkerServer:
         """
         already = self._closing.is_set()
         self._closing.set()
+        try:
+            # Closing alone does not wake a thread blocked in accept()
+            # on Linux; shutting the listener down does.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - already closed
@@ -320,9 +326,10 @@ class WorkerServer:
 
     @staticmethod
     def _evaluate(engine, candidates) -> Dict[str, object]:
-        """One chunk through the rebuilt engine; mirrors
-        ``_process_evaluate_chunk`` and adds the worker-side counter
-        deltas the coordinator folds into its metrics registry.
+        """One chunk through the rebuilt engine
+        (:meth:`~repro.search.engine.SearchEngine.evaluate_many`), plus
+        the drained tracer spans and the worker-side counter deltas the
+        coordinator folds into its metrics registry.
 
         Deltas are approximate when several coordinators share one
         engine concurrently — metrics are advisory, evaluations are not.

@@ -779,7 +779,7 @@ def run_sweep(
     quick: bool = True,
     pes: int = 64,
     samples_per_pe: int = 32,
-    executor: Optional[str] = None,
+    executor: str = "thread",
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     report_dir: Optional[str] = None,
@@ -787,10 +787,10 @@ def run_sweep(
     """Run a consolidated multi-model sweep over the zoo.
 
     ``quick=True`` (the CI default) trims the space to the weak-scaling
-    strategies at a single micro-batch count and keeps the GIL-bound
-    thread backend; the full run opens the whole space, adds ResNet-152
-    (if absent), and fans out over the process pool.  An explicit
-    ``executor`` overrides either default.  ``cache_dir``
+    strategies at a single micro-batch count; the full run opens the
+    whole space and adds ResNet-152 (if absent).  Both run on the thread
+    executor unless ``executor="remote"`` (with ``workers``) sends the
+    projections to a ``repro worker`` fleet.  ``cache_dir``
     persists per-model projection caches so a re-run projects nothing;
     ``report_dir`` receives per-model frontier CSVs + the cross-model
     summary.  Returns a :class:`~repro.search.sweep.SweepReport`.
@@ -799,8 +799,6 @@ def run_sweep(
 
     if not quick and "resnet152" not in models:
         models = tuple(models) + ("resnet152",)
-    if executor is None:
-        executor = "thread" if quick else "process"
     runner = SweepRunner(
         models,
         IMAGENET,

@@ -5,7 +5,7 @@ explains where the *oracle's* time goes.  Three pieces:
 
 :mod:`~repro.obs.tracer`
     Nested, labeled timing :class:`Span`\\ s produced by context
-    managers.  Thread-safe (per-thread span stacks) and process-pool
+    managers.  Thread-safe (per-thread span stacks) and remote-worker
     aware — worker spans travel back with result chunks and are
     re-parented into the parent tracer (:meth:`Tracer.adopt`).  The
     default :data:`NULL_TRACER` is a shared no-op whose hot-path cost is

@@ -6,7 +6,7 @@ package turns that into a proper planner: a declarative
 micro-batch x comm policy, feasibility pruning before any projection is
 paid for, a persistent :class:`ProjectionCache` (single file, or one
 fingerprinted file per model inside a shared ``cache_dir``), a
-worker-pool :class:`SearchEngine` (thread or process executor), and
+worker-pool :class:`SearchEngine` (thread or remote executor), and
 multi-objective Pareto ranking of the survivors.  :class:`SweepRunner`
 orchestrates all of it across a model zoo and emits consolidated
 frontier reports.

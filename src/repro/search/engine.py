@@ -7,20 +7,19 @@ not worth projecting, the :class:`~repro.search.cache.ProjectionCache`
 remembers past answers, and :mod:`~repro.search.pareto` ranks the
 survivors.  Evaluation order is irrelevant to the result — a search with
 one worker returns exactly what a search with N workers returns, and a
-process-pool search returns exactly what a thread-pool search returns.
+remote-fleet search returns exactly what a thread-pool search returns.
 
-Three executor backends are available (``executor="thread"`` /
-``"process"`` / ``"remote"``).  Projections are pure-Python CPU work, so
-the thread pool is GIL-bound and only pays off when evaluation blocks;
-the process pool ships the oracle context to worker processes once
-(pickled, via an initializer) and then streams candidate chunks, scaling
-large sweeps across cores; the remote backend (:mod:`repro.dist`) does
-the same over sockets to ``repro worker`` processes on other machines,
-with heartbeat-based failure detection and straggler re-dispatch.  The
-parent keeps sole ownership of the :class:`ProjectionCache`: cache hits
-are answered inline before anything reaches the pool, and worker
-projections are folded back in, so a warm cache never re-projects under
-any backend.
+Two executor backends are available (``executor="thread"`` /
+``"remote"``).  The thread backend is the local default: projections are
+pure-Python CPU work batched through the vectorized path, so a search
+finishes in-process in milliseconds.  Scale-out goes through the remote
+backend (:mod:`repro.dist`): it ships the pickled oracle context once to
+each ``repro worker`` process (on this machine or others) and streams
+candidate chunks over sockets, with heartbeat-based failure detection
+and straggler re-dispatch.  The parent keeps sole ownership of the
+:class:`ProjectionCache`: cache hits are answered inline before anything
+reaches the fleet, and worker projections are folded back in, so a warm
+cache never re-projects under either backend.
 """
 
 from __future__ import annotations
@@ -31,11 +30,7 @@ import pickle
 import threading
 import time
 import warnings
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -77,15 +72,11 @@ __all__ = [
 ]
 
 #: Supported evaluation backends.
-EXECUTORS = ("thread", "process", "remote")
+EXECUTORS = ("thread", "remote")
 
-#: Candidates per process-pool task; amortizes IPC without starving
-#: workers at the tail of a sweep.
-_PROCESS_CHUNK = 16
-
-#: Candidates per remote-worker chunk: larger than the process chunk
-#: (each frame crosses a network round-trip, not a pipe) but small
-#: enough that straggler re-dispatch has useful granularity.
+#: Candidates per remote-worker chunk: large enough to amortize a
+#: network round-trip per frame, small enough that straggler
+#: re-dispatch has useful granularity.
 _REMOTE_CHUNK = 32
 
 #: Candidates per thread-backend evaluation batch: one
@@ -179,8 +170,8 @@ class SearchReport:
     persistence.  Pruning/projection are *busy* times summed across
     workers (cProfile-``cumtime``-style), so with several threads they
     can legitimately exceed the wall-clock ``total_s``; stages measured
-    inside worker processes are not visible to the parent, so under
-    ``executor="process"`` the split only covers parent-side work.
+    inside remote workers are not visible to the parent, so under
+    ``executor="remote"`` the split only covers parent-side work.
     """
 
     evaluations: List[Evaluation]
@@ -208,56 +199,6 @@ class SearchReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# Process-pool plumbing.  A worker process receives the pickled oracle
-# context once (initializer), rebuilds a single-worker engine around it,
-# and then evaluates candidate chunks; only candidates that survived the
-# parent's prune + cache fast path ever reach a worker.
-# ---------------------------------------------------------------------------
-
-_WORKER_ENGINE: Optional["SearchEngine"] = None
-
-
-def _process_worker_init(payload: bytes) -> None:
-    """Pool initializer: rebuild the evaluation context in this process.
-
-    Forces the oracle's projection kernel here, so every worker compiles
-    the model invariants exactly once instead of lazily inside its first
-    candidate chunk.  When the parent traces, the worker gets its own
-    recording :class:`~repro.obs.tracer.Tracer`; its spans ship back
-    with each result chunk (see :func:`_process_evaluate_chunk`).
-    """
-    global _WORKER_ENGINE
-    oracle, dataset, pruners, traced, vectorize = pickle.loads(payload)
-    _WORKER_ENGINE = SearchEngine(
-        oracle, dataset, pruners=pruners, workers=1,
-        tracer=Tracer() if traced else None, vectorize=vectorize)
-    analytical = getattr(oracle, "analytical", None)
-    if analytical is not None and hasattr(analytical, "kernel"):
-        analytical.kernel  # noqa: B018 - warm the lazy kernel build
-
-
-def _process_evaluate_chunk(
-    candidates: List[Candidate],
-) -> Tuple[List[Evaluation], list, Dict[str, int]]:
-    """Evaluate one candidate chunk in the worker's rebuilt engine.
-
-    Returns ``(evaluations, spans, vec_counts)``: the worker drains its
-    tracer into the result payload, and the parent re-parents those
-    spans under its own active span (:meth:`Tracer.adopt`) — so a traced
-    process-pool search renders worker lanes in the same Chrome trace.
-    ``vec_counts`` carries this chunk's vectorized / scalar-fallback
-    candidate counts for the parent's run counters.
-    """
-    before = dict(_WORKER_ENGINE._vec_counts)
-    evaluations = _WORKER_ENGINE.evaluate_many(candidates)
-    counts = {
-        key: value - before.get(key, 0)
-        for key, value in _WORKER_ENGINE._vec_counts.items()
-    }
-    return evaluations, _WORKER_ENGINE.tracer.drain(), counts
-
-
 class SearchEngine:
     """Evaluates candidate spaces against one oracle + dataset.
 
@@ -282,20 +223,16 @@ class SearchEngine:
         Worker-pool width for :meth:`iter_results`.  Defaults to 1 for
         the thread backend (projections are GIL-bound pure Python, so
         threads only pay off when evaluation blocks — e.g. a future
-        oracle backed by real profiling runs or RPC) and to the CPU
-        count for the process backend.  Results are identical at any
+        oracle backed by real profiling runs or RPC) and to the fleet
+        size for the remote backend.  Results are identical at any
         width.
     executor:
-        ``"thread"`` (default), ``"process"``, or ``"remote"``.  The
-        process backend pickles the oracle context into worker processes
-        and evaluates candidate chunks there, side-stepping the GIL for
-        large sweeps; when the context cannot pickle it warns and falls
-        back to the thread backend, so results are never lost to a
-        custom pruner or monkey-patched oracle.  The remote backend does
-        the same across machines: it ships the context to each
-        configured ``repro worker`` once, streams candidate chunks over
-        sockets, and degrades to the thread backend (with a
-        ``RuntimeWarning``) when no worker is reachable — see
+        ``"thread"`` (default) or ``"remote"``.  The remote backend
+        ships the pickled oracle context to each configured ``repro
+        worker`` once and streams candidate chunks over sockets; it
+        degrades to the thread backend (with a ``RuntimeWarning``) when
+        the context cannot pickle or no worker is reachable, so results
+        are never lost to a custom pruner or a down fleet — see
         :mod:`repro.dist` and ``docs/distributed.md``.
     remote_workers:
         ``host:port`` worker addresses for ``executor="remote"``.  As a
@@ -379,8 +316,6 @@ class SearchEngine:
         self.executor = executor
         if workers:
             self.workers = workers
-        elif executor == "process":
-            self.workers = os.cpu_count() or 1
         elif executor == "remote":
             self.workers = len(self.remote_workers)
         else:
@@ -617,8 +552,8 @@ class SearchEngine:
     ) -> List[Evaluation]:
         """Evaluate a chunk of candidates; results keep input order.
 
-        The batched form of :meth:`evaluate`, shared by the thread and
-        process backends: the pre-projection fast path (pruning,
+        The batched form of :meth:`evaluate`, shared by the thread
+        backend and ``repro worker``: the pre-projection fast path (pruning,
         strategy construction, cache lookup) runs for the whole chunk
         first, then the surviving candidates are projected — amortizing
         key building and stage-timing bookkeeping across the chunk
@@ -645,12 +580,12 @@ class SearchEngine:
         return out
 
     def _absorb(self, evaluation: Evaluation) -> None:
-        """Fold a worker-process evaluation into the parent cache.
+        """Fold a remote worker's evaluation into the parent cache.
 
         Mirrors what :meth:`_project` would have written locally: a
         successful projection memoizes positively, a projection raise
         memoizes negatively.  Pruned / build-failed / already-cached
-        evaluations never reach the pool, so they need no folding.
+        evaluations never reach the fleet, so they need no folding.
         """
         key = self._cache_key(evaluation.candidate)
         if evaluation.projection is not None:
@@ -662,11 +597,10 @@ class SearchEngine:
     def _fallback_local(
         self, pending_rows: Sequence[Tuple[int, Candidate, Strategy, str]]
     ) -> Iterator[Evaluation]:
-        """Project cache-miss survivors locally — the degradation path
-        shared by the process backend (unpicklable context) and the
-        remote backend (no reachable worker).  The fast path already
-        ran, so stats and cache counters stay identical to the thread
-        backend's."""
+        """Project cache-miss survivors locally — the remote backend's
+        degradation path (unpicklable context or no reachable worker).
+        The fast path already ran, so stats and cache counters stay
+        identical to the thread backend's."""
         if self.workers <= 1:
             yield from self._project_pending(pending_rows)
             return
@@ -681,63 +615,6 @@ class SearchEngine:
             self._count_candidates(scalar=len(pending))
             for future in as_completed(futures):
                 yield future.result()
-
-    def _iter_process(
-        self, candidates: Iterable[Candidate]
-    ) -> Iterator[Evaluation]:
-        """Process-pool evaluation: fast path inline (pruning
-        vectorized over the stream), projections fanned out in chunks,
-        results folded back into the parent cache."""
-        t0 = time.perf_counter()
-        fast, pending_rows = self._fast_path_many(list(candidates))
-        self._add_timings(pruning=time.perf_counter() - t0)
-        for evaluation in fast:
-            if evaluation is not None:
-                yield evaluation
-        pending = [
-            (cand, strategy) for _, cand, strategy, _ in pending_rows
-        ]
-        if not pending:
-            return
-        try:
-            payload = pickle.dumps(
-                (self.oracle, self.dataset, self.pruners,
-                 self.tracer.enabled, self.vectorize))
-        except Exception as exc:  # noqa: BLE001 - any pickling failure
-            warnings.warn(
-                f"oracle context cannot be pickled ({exc}); falling back "
-                f"to the thread executor",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            yield from self._fallback_local(pending_rows)
-            return
-        pending_candidates = [cand for cand, _ in pending]
-        chunks = [
-            pending_candidates[i:i + _PROCESS_CHUNK]
-            for i in range(0, len(pending_candidates), _PROCESS_CHUNK)
-        ]
-        workers = min(self.workers, len(chunks))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_process_worker_init,
-            initargs=(payload,),
-        ) as pool:
-            futures = [
-                pool.submit(_process_evaluate_chunk, chunk)
-                for chunk in chunks
-            ]
-            for future in as_completed(futures):
-                evaluations, spans, vec_counts = future.result()
-                # Worker spans fold in re-parented under the caller's
-                # active span (the search root when run via `search`).
-                self.tracer.adopt(spans)
-                self._count_candidates(
-                    vectorized=vec_counts.get("vectorized", 0),
-                    scalar=vec_counts.get("scalar", 0))
-                for evaluation in evaluations:
-                    self._absorb(evaluation)
-                    yield evaluation
 
     def _iter_remote(
         self, candidates: Iterable[Candidate]
@@ -853,9 +730,7 @@ class SearchEngine:
         """Dispatch an expanded candidate stream to the active backend
         (the single executor-selection seam ``iter_results`` and
         ``search`` share)."""
-        if self.executor == "process":
-            yield from self._iter_process(candidates)
-        elif self.executor == "remote":
+        if self.executor == "remote":
             yield from self._iter_remote(candidates)
         else:
             yield from self._iter_thread(candidates)

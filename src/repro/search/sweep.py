@@ -4,8 +4,9 @@ The oracle answers "which strategy for *this* CNN on *this* cluster?";
 a production planning session asks that for a whole model zoo at once.
 :class:`SweepRunner` fans a :class:`~repro.search.space.SearchSpace` x
 model-zoo x comm-policy grid out over a
-:class:`~repro.search.engine.SearchEngine` per model — process-pool
-backed by default, so projections scale across cores — reusing one
+:class:`~repro.search.engine.SearchEngine` per model — the in-process
+thread executor by default, a ``repro worker`` fleet with
+``executor="remote"`` — reusing one
 shared cross-model cache directory (per-(model, cluster) files, see
 :func:`~repro.search.cache.cache_file_for`), and folds the per-model
 Pareto frontiers into a consolidated :class:`SweepReport`:
@@ -250,8 +251,8 @@ class SweepRunner:
         model searches the same space, so frontiers are comparable.
     executor / workers:
         Evaluation backend per model (see
-        :class:`~repro.search.engine.SearchEngine`); ``"process"`` by
-        default — a zoo sweep is exactly the workload the pool exists for.
+        :class:`~repro.search.engine.SearchEngine`); ``"thread"`` by
+        default, ``"remote"`` to scale out over a ``repro worker`` fleet.
     cache_dir:
         Shared cross-model cache directory; each model persists its own
         fingerprinted file there, so a warm re-run projects nothing.
@@ -286,7 +287,7 @@ class SweepRunner:
         segments: Sequence[int] = (2, 4, 8),
         fixed_batches: Sequence[int] = (),
         comm_policies: Sequence[str] = (),
-        executor: str = "process",
+        executor: str = "thread",
         workers: Optional[int] = None,
         remote_workers: Optional[Sequence[str]] = None,
         cache_dir: Optional[str] = None,
@@ -386,7 +387,7 @@ class SweepRunner:
                 else None),
             segments=search.segments,
             comm_policies=search.comm_policies,
-            executor=search.executor or "process",
+            executor=search.executor or "thread",
             workers=search.workers,
             remote_workers=search.remote_workers or None,
             cache_dir=search.cache_dir,

@@ -255,6 +255,78 @@ class TestRemoteParity:
         assert report.stats["cache_misses"] == 0
 
 
+class TestCoordinatorFoldIn:
+    def test_frame_queued_after_done_is_still_yielded(
+            self, oracle, dataset, monkeypatch):
+        """A worker marks its chunk done *before* queueing the result
+        frame.  Hold the last frame back until the consumer has taken
+        the first one and the done set is full: the consumer must still
+        wait for it, not stop with the chunk's candidates unreported."""
+        import queue
+        import threading
+        from types import SimpleNamespace
+
+        import repro.dist.coordinator as coordinator_module
+
+        done_full = threading.Event()
+        release = threading.Event()
+        puts = []
+        puts_lock = threading.Lock()
+
+        class HoldLastResult(queue.Queue):
+            def put(self, item, *args, **kwargs):
+                if item[0] == "result":
+                    with puts_lock:
+                        puts.append(item)
+                        last = len(puts) == 2
+                    if last:
+                        done_full.set()
+                        release.wait(timeout=10)
+                super().put(item, *args, **kwargs)
+
+        monkeypatch.setattr(coordinator_module, "queue",
+                            SimpleNamespace(Queue=HoldLastResult))
+        candidates = list(SPACE.candidates(intra=oracle.cluster.node.gpus))
+        half = len(candidates) // 2
+        chunks = [candidates[:half], candidates[half:]]
+        payload = pickle.dumps((oracle, dataset, None, False, None))
+        digest = fingerprint_digest(context_fingerprint(oracle))
+        with WorkerServer() as w1, WorkerServer() as w2:
+            coord = RemoteCoordinator(
+                [w1.address, w2.address], payload, digest)
+            assert coord.connect() == 2
+            frames = coord.run(chunks)
+            got = [next(frames)]
+            assert done_full.wait(timeout=10)
+            release.set()
+            got.extend(frames)
+        assert sorted(f["chunk_id"] for f in got) == [0, 1]
+        assert sum(len(f["evaluations"]) for f in got) == len(candidates)
+        assert coord.leftover == []
+
+    def test_multi_chunk_remote_matches_thread_repeatedly(
+            self, toy2d, dataset):
+        """Many chunks over two workers, several times over: every run
+        reports exactly what the thread executor reports."""
+        big = ParaDL(toy2d, abci_like_cluster(64),
+                     profile_model(toy2d, samples_per_pe=4))
+        space = SearchSpace(pe_budgets=(64,), samples_per_pe=(1, 4),
+                            segments=(2, 4), exhaustive=True)
+        reference = _blob(SearchEngine(big, dataset).search(space))
+        for _ in range(5):
+            # A fresh fleet per run: workers keep a projection memo, and
+            # memo answers flip the per-evaluation ``cached`` flag.
+            with WorkerServer() as w1, WorkerServer() as w2:
+                metrics = MetricsRegistry()
+                report = SearchEngine(
+                    big, dataset, executor="remote",
+                    workers=[w1.address, w2.address],
+                    metrics=metrics).search(space)
+                assert _blob(report) == reference
+                assert metrics.snapshot()[
+                    "dist.chunks_completed"]["value"] > 2
+
+
 class TestObservability:
     def test_worker_spans_and_metrics_fold_back(self, oracle, dataset):
         tracer = Tracer()

@@ -98,27 +98,6 @@ class TestEngineTracing:
         engine.search(SPACE)
         assert len(NULL_TRACER) == 0
 
-    def test_process_pool_spans_folded_in(self, oracle, dataset):
-        tracer = Tracer()
-        engine = SearchEngine(oracle, dataset, workers=2,
-                              executor="process", tracer=tracer)
-        engine.search(SPACE)
-        spans = tracer.spans
-        import os
-
-        here = os.getpid()
-        worker_spans = [s for s in spans if s.pid != here]
-        assert worker_spans, "worker chunk spans should fold in"
-        assert all(
-            s.name in ("search.evaluate_chunk", "search.evaluate_batch")
-            for s in worker_spans)
-        assert any(s.name == "search.evaluate_chunk" for s in worker_spans)
-        # re-parented under this process's span tree, ids unique
-        ids = {s.span_id: s for s in spans}
-        assert len(ids) == len(spans)
-        for s in worker_spans:
-            assert s.parent_id in ids
-
     def test_metrics_scraped_once_per_run(self, oracle, dataset):
         metrics = MetricsRegistry()
         engine = SearchEngine(oracle, dataset, workers=1, metrics=metrics)

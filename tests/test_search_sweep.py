@@ -1,5 +1,5 @@
-"""Tests for the multi-model sweep orchestrator and the process-pool
-search backend (repro.search.sweep + SearchEngine executor="process")."""
+"""Tests for the multi-model sweep orchestrator (repro.search.sweep)
+and its executor defaults."""
 
 import csv
 import json
@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+from repro.api.spec import ScenarioSpec, ScenarioValidationError
+from repro.cli import main
 from repro.core.calibration import profile_model
 from repro.core.oracle import ParaDL
 from repro.core.tensors import TensorSpec
@@ -14,6 +16,7 @@ from repro.data.datasets import DatasetSpec
 from repro.models import toy_cnn
 from repro.network.topology import abci_like_cluster
 from repro.search import (
+    EXECUTORS,
     SearchEngine,
     SearchSpace,
     SweepReport,
@@ -56,75 +59,69 @@ def _signature(report):
 
 
 class TestProcessExecutor:
+    """The process executor is gone: every layer refuses ``"process"``
+    with a pointer to its replacements, and every sweep entry point
+    defaults to the thread executor."""
+
     def test_rejects_unknown_executor(self, oracle, dataset):
-        with pytest.raises(ValueError, match="unknown executor"):
-            SearchEngine(oracle, dataset, executor="mpi")
+        assert EXECUTORS == ("thread", "remote")
+        for name in ("mpi", "process"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                SearchEngine(oracle, dataset, executor=name)
 
     def test_rejects_cache_and_cache_dir(self, oracle, dataset, tmp_path):
         with pytest.raises(ValueError, match="not both"):
             SearchEngine(oracle, dataset, cache=str(tmp_path / "c.json"),
                          cache_dir=str(tmp_path))
 
-    def test_thread_process_parity(self, oracle, dataset, space):
-        thread = SearchEngine(
-            oracle, dataset, executor="thread").search(space)
-        process = SearchEngine(
-            oracle, dataset, executor="process", workers=2).search(space)
-        assert _signature(thread) == _signature(process)
-        assert thread.best.candidate == process.best.candidate
-        assert [e.candidate for e in thread.frontier] == \
-               [e.candidate for e in process.frontier]
-        assert thread.stats == process.stats
+    def test_scenario_rejects_process(self):
+        with pytest.raises(ScenarioValidationError) as info:
+            ScenarioSpec.from_dict({"search": {"executor": "process"}})
+        assert info.value.field == "search.executor"
+        assert "remote" in str(info.value)
+        assert "repro worker" in str(info.value)
 
-    def test_process_defaults_to_cpu_count(self, oracle, dataset):
-        engine = SearchEngine(oracle, dataset, executor="process")
-        assert engine.workers == (os.cpu_count() or 1)
-        assert SearchEngine(oracle, dataset).workers == 1
+    def test_cli_rejects_process(self, capsys):
+        assert main(["sweep", "--models", "alexnet", "-p", "8",
+                     "--executor", "process"]) == 2
+        err = capsys.readouterr().err
+        assert "search.executor" in err and "remote" in err
 
-    def test_process_folds_results_into_parent_cache(
-            self, oracle, dataset, space, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cold = SearchEngine(
-            oracle, dataset, cache=path, executor="process").search(space)
-        assert cold.stats["cache_misses"] == cold.stats["candidates"]
-        warm = SearchEngine(
-            oracle, dataset, cache=path, executor="process").search(space)
-        assert warm.stats["cache_misses"] == 0
-        assert _signature(cold) == _signature(warm)
+    def test_sweep_runner_defaults_to_thread(self, dataset):
+        assert SweepRunner(["alexnet"], dataset).executor == "thread"
+        runner = SweepRunner.from_scenario(
+            {"cluster": {"pes": 8}, "sweep": {"models": ["alexnet"]}})
+        assert runner.executor == "thread"
 
-    def test_process_memoizes_failures(self, dataset, tmp_path):
-        # channels=(6, 10) makes f/c at p=8 structurally infeasible
-        # (8 does not divide 6 or 10), so projections raise and memoize
-        # negatively; the warm process run must not re-project them.
-        oracle = _toy_oracle(channels=(6, 10))
-        ds = DatasetSpec(name="tiny", sample=oracle.model.input_spec,
-                         num_samples=1024, num_classes=10)
-        space = SearchSpace(strategies=("f", "c", "d"), pe_budgets=(8,),
-                            samples_per_pe=(4,), segments=(2,))
-        path = str(tmp_path / "cache.json")
-        cold = SearchEngine(
-            oracle, ds, cache=path, executor="process").search(space)
-        failed = [e for e in cold.evaluations
-                  if e.strategy is not None and e.projection is None]
-        if failed:  # structural failures reached projection and memoized
-            warm = SearchEngine(
-                oracle, ds, cache=path, executor="process").search(space)
-            assert warm.stats["cache_misses"] == 0
-            assert _signature(cold) == _signature(warm)
+    def test_paradl_sweep_defaults_to_thread(self, dataset, monkeypatch):
+        executors = _record_executors(monkeypatch)
+        ParaDL.sweep(
+            ["small"], dataset, pes=8, samples_per_pe=4,
+            strategies=("d",), segments=(2,),
+            oracle_factory=lambda name: _toy_oracle())
+        assert executors == ["thread"]
 
-    def test_unpicklable_context_falls_back_to_threads(
-            self, dataset, space):
-        oracle = _toy_oracle()
-        oracle.analytical._unpicklable = lambda: None  # defeat pickle
-        engine = SearchEngine(oracle, dataset, executor="process")
-        with pytest.warns(RuntimeWarning, match="cannot be pickled"):
-            report = engine.search(space)
-        reference = SearchEngine(
-            _toy_oracle(), dataset, executor="thread").search(space)
-        assert _signature(report) == _signature(reference)
-        # The fallback must not re-run the fast path: stats (including
-        # cache hit/miss counters) match the thread backend exactly.
-        assert report.stats == reference.stats
+    def test_cli_sweep_defaults_to_thread(self, capsys, monkeypatch):
+        executors = _record_executors(monkeypatch)
+        assert main(["sweep", "--models", "alexnet,vgg16", "-p", "8",
+                     "--strategies", "d", "--segments", "2"]) == 0
+        assert executors == ["thread", "thread"]
+        assert "(thread executor," in capsys.readouterr().out
+
+
+def _record_executors(monkeypatch):
+    """Patch the sweep module's engine to log each per-model executor."""
+    import repro.search.sweep as sweep_module
+
+    executors = []
+
+    class RecordingEngine(SearchEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            executors.append(self.executor)
+
+    monkeypatch.setattr(sweep_module, "SearchEngine", RecordingEngine)
+    return executors
 
 
 class TestCacheDirectories:

@@ -263,7 +263,7 @@ def test_kernel_compiles_exactly_once_across_threads(monkeypatch):
 
 
 def test_kernel_lock_is_module_level_not_instance():
-    """Instance locks would break pickling into process-pool workers."""
+    """Instance locks would break pickling the context to ``repro worker``."""
     assert isinstance(
         analytical_mod._KERNEL_BUILD_LOCK, type(threading.Lock()))
     session = Session(spec_for(PROJECT_DOC))

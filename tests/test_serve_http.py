@@ -162,6 +162,16 @@ def test_validation_error_names_dotted_field(client, doc, field):
     assert field in blob["error"]["message"]
 
 
+def test_search_process_executor_is_400(client):
+    doc = dict(SEARCH_DOC, search=dict(SEARCH_DOC["search"],
+                                       executor="process"))
+    status, raw = post_raw(client, "/v1/search", doc)
+    assert status == 400
+    error = json.loads(raw)["error"]
+    assert error["field"] == "search.executor"
+    assert "remote" in error["message"]
+
+
 def test_validation_applies_to_every_verb(client):
     for verb in _DOCS:
         status, raw = post_raw(client, f"/v1/{verb}", {"model": 7})
