@@ -12,12 +12,12 @@ paper's questions against them:
 >>> session.project().to_dict()                          # doctest: +SKIP
 >>> session.search().report.best                         # doctest: +SKIP
 
-Construction is cached, so repeated verbs on one session pay for
-profiling and cache loading once; a warm ``session.search()`` re-run
-answers from the in-memory projection cache.  Every verb returns a
-typed result object (:mod:`repro.api.results`) whose ``to_dict()`` is
-the stable JSON the CLI prints — the Session *is* the service surface
-a future RPC backend would expose.
+Construction is cached (graph, profile and kernel process-wide), so
+repeated verbs pay for profiling and cache loading once; a warm
+``session.search()`` re-run answers from the in-memory projection
+cache.  Every verb returns a typed result (:mod:`repro.api.results`)
+whose ``to_dict()`` is the stable JSON the CLI prints — the Session
+*is* the service surface a future RPC backend would expose.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from ..faults import Deadline, check_deadline, deadline_scope
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER
+from .artifacts import ARTIFACTS
 from .results import (
     HybridResult,
     ProjectionResult,
@@ -60,7 +61,8 @@ class Session:
         A :class:`~repro.obs.metrics.MetricsRegistry` the engines scrape
         run counters into; a private registry is created when omitted
         (so :meth:`diagnostics` always works), but nothing is scraped
-        into it unless a verb that owns an engine runs.
+        into it unless a verb that owns an engine runs; artifact-store
+        lookups (``api.artifacts.*``) count only into a supplied one.
     cache_dir:
         Default projection-cache directory used when the scenario names
         neither ``search.cache`` nor ``search.cache_dir``.  This is the
@@ -80,6 +82,7 @@ class Session:
         self.scenario = scenario
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._caller_metrics = metrics
         self._default_cache_dir = cache_dir
         self._cache = {}
         # Reentrant: one memo's build may consult other memoized
@@ -109,22 +112,23 @@ class Session:
         return DATASETS[self.scenario.training.dataset]
 
     @property
+    def artifacts(self):
+        """The shared graph, profile and kernel (:mod:`~repro.api.
+        artifacts`): sessions over one model profile it once."""
+        training = self.scenario.training
+        return self._memo("artifacts", lambda: ARTIFACTS.get(
+            self.scenario.model, self.dataset,
+            samples_per_pe=training.samples_per_pe,
+            optimizer=training.optimizer, metrics=self._caller_metrics))
+
+    @property
     def model(self):
-        """The model graph (built once).
+        """The model graph (shared; see :attr:`artifacts`).
 
         Shape-coupled models (CosmoFlow) default to the dataset's
         sample spec so memory analysis matches the volumes asked about.
         """
-        def build():
-            spec = self.scenario.model
-            default_input = (
-                self.dataset.sample
-                if spec.name == "cosmoflow" and self.dataset.sample.ndim == 3
-                else None
-            )
-            return spec.build(default_input)
-
-        return self._memo("model", build)
+        return self.artifacts.graph
 
     @property
     def cluster(self):
@@ -133,18 +137,8 @@ class Session:
 
     @property
     def profile(self):
-        """The per-layer compute profile (profiled once)."""
-        def build():
-            from ..core.calibration import profile_model
-
-            training = self.scenario.training
-            return profile_model(
-                self.model,
-                samples_per_pe=training.samples_per_pe,
-                optimizer=training.optimizer,
-            )
-
-        return self._memo("profile", build)
+        """The per-layer compute profile (shared; see :attr:`artifacts`)."""
+        return self.artifacts.profile
 
     @property
     def comm(self):
@@ -155,30 +149,15 @@ class Session:
     @property
     def oracle(self):
         """The :class:`~repro.core.oracle.ParaDL` oracle (built once)."""
-        def build():
-            from ..core.oracle import ParaDL
-
-            return ParaDL(
-                self.model,
-                self.cluster,
-                self.profile,
-                gamma=self.scenario.training.gamma,
-                comm=self.comm,
-                scenario=self.scenario,
-            )
-
-        return self._memo("oracle", build)
+        return self._memo("oracle", lambda: self.artifacts.oracle(
+            self.cluster, gamma=self.scenario.training.gamma,
+            comm=self.comm, scenario=self.scenario))
 
     @property
     def kernel(self):
-        """The compiled :class:`~repro.core.kernel.ModelKernel`.
-
-        Built (and memoized) with the oracle, so every verb on one
-        session — repeated projects, a search, then a simulate — shares
-        one set of precomputed model invariants instead of re-deriving
-        them per call.
-        """
-        return self._memo("kernel", lambda: self.oracle.analytical.kernel)
+        """The compiled :class:`~repro.core.kernel.ModelKernel` (shared;
+        see :attr:`artifacts`)."""
+        return self.artifacts.kernel
 
     @property
     def projection_cache(self):
@@ -251,15 +230,10 @@ class Session:
             return self.oracle
 
         def build():
-            from ..core.oracle import ParaDL
-
             scenario = self.scenario.merged({"comm": {"policy": policy}})
-            return ParaDL(
-                self.model, self.cluster, self.profile,
-                gamma=scenario.training.gamma,
-                comm=scenario.comm.build(self.cluster),
-                scenario=scenario,
-            )
+            return self.artifacts.oracle(
+                self.cluster, gamma=scenario.training.gamma,
+                comm=scenario.comm.build(self.cluster), scenario=scenario)
 
         return self._memo("search_oracle", build)
 

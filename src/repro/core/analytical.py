@@ -305,8 +305,12 @@ class AnalyticalModel:
         halo_transport: str = "mpi",
         contention: bool = True,
         comm: Optional[object] = None,
+        kernel: Optional[ModelKernel] = None,
     ) -> None:
         profile.validate_against(model)
+        if kernel is not None and not (
+                kernel.model is model and kernel.profile is profile):
+            raise ValueError("kernel built for a different model or profile")
         if delta <= 0:
             raise ValueError("delta must be positive")
         if not 0 < gamma <= 1:
@@ -322,22 +326,23 @@ class AnalyticalModel:
         #: "nccl-like") or a ready CommModel.  Every collective the
         #: analyzers cost goes through it.
         self.comm: CommModel = as_comm_model(comm, cluster)
-        self._kernel: Optional[ModelKernel] = None
+        self._kernel: Optional[ModelKernel] = kernel
         self._comm_overrides: Dict[Tuple, CommModel] = {}
         # (strategy, batch) -> True | (exc_type, message).  Feasibility
         # checks are pure in (model, strategy, batch) and the search
-        # re-asks them per comm policy, so both projection paths share
-        # this memo.  Bounded below; unhashable strategies skip it.
-        self._check_memo: Dict[Tuple, object] = {}
+        # re-asks them per comm policy, so both projection paths (and
+        # every adopter of a shared kernel) share this memo.  Bounded
+        # below; unhashable strategies skip it.
+        self._check_memo = {} if kernel is None else kernel.check_memo
 
     @property
     def kernel(self) -> ModelKernel:
         """The compiled projection kernel (built lazily, exactly once).
 
         Everything the fast path precomputes about ``(model, profile)``
-        — see :class:`~repro.core.kernel.ModelKernel`.  Process-pool
-        search workers force this in their initializer so the build cost
-        is paid once per worker, not per candidate chunk.
+        — see :class:`~repro.core.kernel.ModelKernel`.  Oracles built
+        from the artifact store (:mod:`repro.api.artifacts`) adopt its
+        shared kernel instead.
 
         Double-checked against a module lock so concurrent first calls
         (an HTTP server fanning request threads over one shared oracle)
@@ -350,6 +355,13 @@ class AnalyticalModel:
                 if self._kernel is None:
                     self._kernel = ModelKernel(self.model, self.profile)
         return self._kernel
+
+    def __getstate__(self):
+        """Drop the (possibly shared) kernel and memo; workers recompile."""
+        state = self.__dict__.copy()
+        state["_kernel"] = None
+        state["_check_memo"] = {}
+        return state
 
     def _resolve_comm(self, comm: Optional[object]) -> CommModel:
         """Per-call comm override: ``None`` keeps the bound model; a

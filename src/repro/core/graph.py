@@ -9,6 +9,8 @@ live) but not the chain ordering.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from .caching import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -190,6 +192,12 @@ class ModelGraph:
             if l.spatially_parallelizable
         )
 
+    def __getstate__(self):
+        """Pickle without the (possibly shared) partition memo."""
+        state = self.__dict__.copy()
+        state.pop("_partition_memo", None)
+        return state
+
     def partition_depth(self, parts: int) -> List[List[Layer]]:
         """Split the chain into ``parts`` contiguous composite layers.
 
@@ -214,16 +222,18 @@ class ModelGraph:
             raise ValueError(
                 f"parts must be in [1, {len(self.layers)}], got {parts}"
             )
-        total = sum(l.forward_flops() for l in self.layers)
-        target = total / parts
-        groups: List[List[Layer]] = []
-        current: List[Layer] = []
+        flops = [l.forward_flops() for l in self.layers]
+        # prefix[i] sums flops[:i]; FLOPs are ints, so group sums are
+        # exact and ties break exactly as a per-group re-sum would.
+        prefix = list(itertools.accumulate(flops, initial=0))
+        target = prefix[-1] / parts
+        spans: List[Tuple[int, int]] = []
+        start = 0
         acc = 0.0
         remaining_groups = parts
-        for i, layer in enumerate(self.layers):
-            current.append(layer)
-            acc += layer.forward_flops()
-            remaining_layers = len(self.layers) - i - 1
+        for i, f in enumerate(flops):
+            acc += f
+            remaining_layers = len(flops) - i - 1
             # Close the group when we hit the FLOP target, but never leave
             # fewer layers than groups still to fill.
             if (
@@ -231,26 +241,29 @@ class ModelGraph:
                 and acc >= target
                 and remaining_layers >= remaining_groups - 1
             ):
-                groups.append(current)
-                current = []
+                spans.append((start, i + 1))
+                start = i + 1
                 acc = 0.0
                 remaining_groups -= 1
-        if current:
-            groups.append(current)
+        if start < len(flops):
+            spans.append((start, len(flops)))
         # The FLOP-greedy pass can come up short when early layers dominate;
-        # split the heaviest multi-layer groups until the count is met.
-        while len(groups) < parts:
-            idx = max(
-                (i for i, g in enumerate(groups) if len(g) >= 2),
-                key=lambda i: sum(l.forward_flops() for l in groups[i]),
-                default=None,
-            )
-            if idx is None:  # every group is a single layer already
+        # split the heaviest multi-layer groups (earliest first on ties)
+        # until the count is met.
+        heap = [(prefix[a] - prefix[b], a, b) for a, b in spans if b - a >= 2]
+        heapq.heapify(heap)
+        while len(spans) < parts:
+            if not heap:  # every group is a single layer already
                 raise ValueError("cannot split model into that many stages")
-            g = groups[idx]
-            mid = len(g) // 2
-            groups[idx:idx + 1] = [g[:mid], g[mid:]]
-        return groups
+            _, a, b = heapq.heappop(heap)
+            mid = a + (b - a) // 2
+            spans.remove((a, b))
+            for half in ((a, mid), (mid, b)):
+                spans.append(half)
+                if half[1] - half[0] >= 2:
+                    heapq.heappush(
+                        heap, (prefix[half[0]] - prefix[half[1]], *half))
+        return [self.layers[a:b] for a, b in sorted(spans)]
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -34,11 +34,11 @@ model zoo x strategy families x comm policies by
 ``tests/test_fast_path_equivalence.py`` and by the golden seed
 projections under the paper policy.
 
-Tables are filled lazily and memoized per kernel; a grid or stage count
-that the model cannot host memoizes its error message, so the fast path
-raises exactly what the reference path raises.  Memo access is safe
-under the search engine's thread pool (worst case, two threads compute
-the same immutable entry and one write wins).
+Tables are filled lazily and memoized per (store-shared) kernel; a grid
+or stage count that the model cannot host memoizes its error message, so
+the fast path raises exactly what the reference path raises.  Memo
+access is safe under thread pools (worst case, two threads compute the
+same immutable entry and one write wins).
 """
 
 from __future__ import annotations
@@ -118,10 +118,9 @@ class SpatialTable:
 class ModelKernel:
     """Frozen projection invariants for one ``(model, profile)`` pair.
 
-    Built once per :class:`~repro.core.analytical.AnalyticalModel` (and
-    once per ``repro worker`` context, when the context installs); sessions
-    memoize it alongside the oracle.  All fields are read-only by
-    convention; the lazy pipeline/spatial memos only ever gain entries.
+    Built once per model by the artifact store (:mod:`repro.api.
+    artifacts`), or lazily by a hand-built analyzer.  All fields are
+    read-only by convention; the lazy memos only ever gain entries.
     """
 
     def __init__(self, model: ModelGraph, profile: ComputeProfile) -> None:
@@ -179,6 +178,8 @@ class ModelKernel:
             Tuple[int, ...], Union[SpatialTable, str]
         ] = {}
         self._arrays: Optional[KernelArrays] = None
+        #: Feasibility verdicts of every analyzer adopting this kernel.
+        self.check_memo: Dict[Tuple, object] = {}
 
     # ---------------------------------------------------------------- arrays
     def arrays(self) -> Optional[KernelArrays]:

@@ -70,7 +70,7 @@ class ParaDL:
         reproducing the seed's ring-everywhere costs — ``"auto"`` or
         ``"nccl-like"``) or a ready
         :class:`~repro.collectives.selector.CommModel`.
-    delta / gamma / halo_transport / contention:
+    delta / gamma / halo_transport / contention / kernel:
         Forwarded to :class:`~repro.core.analytical.AnalyticalModel`.
     scenario:
         The :class:`~repro.api.spec.ScenarioSpec` this oracle realizes.
@@ -96,6 +96,7 @@ class ParaDL:
         contention: bool = True,
         comm=None,
         scenario=None,
+        kernel=None,
     ) -> None:
         self.model = model
         self.cluster = cluster
@@ -109,6 +110,7 @@ class ParaDL:
             halo_transport=halo_transport,
             contention=contention,
             comm=comm,
+            kernel=kernel,
         )
         #: The bound communication model (shared with ``analytical``).
         self.comm = self.analytical.comm

@@ -12,7 +12,8 @@ measurements — the oracle consumes them identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .graph import ModelGraph
 from .layers import Layer
@@ -44,13 +45,17 @@ class ComputeProfile:
 
     Access by layer name; aggregate helpers mirror the sums that appear in
     Table 3 (``sum_l FW_l``, ``max_i FW_Gi`` for pipeline groups, ...).
+    Immutable once built, so the artifact store shares it between oracles.
     """
 
     def __init__(self, model_name: str, times: Mapping[str, LayerTimes]) -> None:
         if not times:
             raise ValueError("profile must contain at least one layer")
         self.model_name = model_name
-        self._times: Dict[str, LayerTimes] = dict(times)
+        self._times: Mapping[str, LayerTimes] = MappingProxyType(dict(times))
+
+    def __reduce__(self):
+        return (type(self), (self.model_name, dict(self._times)))
 
     # ---- access -----------------------------------------------------------
     def __contains__(self, name: str) -> bool:

@@ -16,10 +16,10 @@ Design constraints, in order:
 2. **Thread-safe nesting.**  The active-span stack is per-thread
    (``threading.local``); the finished-span list is guarded by one lock
    appended to only at span exit.
-3. **Process-pool aware.**  Spans record wall-clock epoch ``start``
-   (comparable across processes) plus a monotonic ``duration``; a worker
-   process drains its spans (:meth:`Tracer.drain`) into the result
-   payload and the parent re-parents them under its own active span with
+3. **Fleet aware.**  Spans record wall-clock epoch ``start`` (comparable
+   across processes) plus a monotonic ``duration``; a ``repro worker``
+   drains its spans (:meth:`Tracer.drain`) into each result frame and the
+   engine re-parents them under its own active span with
    :meth:`Tracer.adopt` — ids are remapped, so folds never collide.
 """
 

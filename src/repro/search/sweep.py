@@ -245,7 +245,7 @@ class SweepRunner:
     cluster:
         Target machine; default an ABCI-like cluster sized to ``pes``.
     samples_per_pe / optimizer / gamma:
-        Oracle construction knobs (profiles are regenerated per model).
+        Oracle construction knobs (built through the artifact store).
     strategies / pe_budgets / segments / comm_policies:
         The :class:`~repro.search.space.SearchSpace` dimensions; every
         model searches the same space, so frontiers are comparable.
@@ -423,30 +423,22 @@ class SweepRunner:
         return runner
 
     # ------------------------------------------------------------- plumbing
-    def _oracle(self, name: str):
-        if self.oracle_factory is not None:
-            return self.oracle_factory(name)
-        from ..core.calibration import profile_model
-        from ..core.oracle import ParaDL
-        from ..models import build_model
-
-        input_spec = (
-            self.dataset.sample
-            if name == "cosmoflow" and self.dataset.sample.ndim == 3
-            else None
-        )
-        model = build_model(name, input_spec)
-        profile = profile_model(
-            model, samples_per_pe=self.samples_per_pe,
-            optimizer=self.optimizer,
-        )
-        return ParaDL(model, self.cluster, profile, gamma=self.gamma,
-                      comm=self.comm_model)
-
     def engine_for(self, name: str) -> SearchEngine:
-        """The per-model engine (parameterized, not yet run)."""
+        """The per-model engine (parameterized, not yet run), its oracle
+        from ``oracle_factory`` or else the shared artifact store."""
+        if self.oracle_factory is not None:
+            oracle = self.oracle_factory(name)
+        else:
+            from ..api.artifacts import ARTIFACTS
+            from ..api.spec import ModelSpec
+
+            oracle = ARTIFACTS.get(
+                ModelSpec(name=name), self.dataset,
+                samples_per_pe=self.samples_per_pe,
+                optimizer=self.optimizer, metrics=self.metrics,
+            ).oracle(self.cluster, gamma=self.gamma, comm=self.comm_model)
         return SearchEngine(
-            self._oracle(name),
+            oracle,
             self.dataset,
             cache_dir=self.cache_dir,
             executor=self.executor,

@@ -13,9 +13,9 @@ microseconds the PR 5/7 fast path made possible.
 Capacity is bounded: least-recently-used sessions are evicted once the
 pool exceeds ``capacity`` distinct fingerprints, so a scenario-diverse
 traffic mix cannot grow memory without bound.  Eviction only drops the
-in-memory Session — with a shared ``cache_dir`` its persisted
-projections survive on disk and the next session for that fingerprint
-re-loads them warm.
+in-memory Session: graphs, profiles and kernels stay in the artifact
+store, and a shared ``cache_dir`` keeps its persisted projections on
+disk, so the next session for that fingerprint re-loads them warm.
 
 Thread safety: one lock guards the table; Session construction itself
 is cheap (everything inside is lazy) and the Session's own memo lock

@@ -5,6 +5,7 @@ import pytest
 from repro.core.graph import ModelGraph
 from repro.core.layers import Add, Conv, FullyConnected, Flatten, ReLU
 from repro.core.tensors import TensorSpec
+from repro.models import MODEL_BUILDERS, build_model
 
 
 def _chain():
@@ -143,3 +144,70 @@ class TestPartitionDepth:
         groups = resnet50_model.partition_depth(4)
         loads = [sum(l.forward_flops() for l in g) for g in groups]
         assert max(loads) < 2.5 * (sum(loads) / len(loads))
+
+
+def _reference_partition(layers, parts):
+    """The original partitioner, which re-summed every group per split;
+    kept here as the spec the prefix-sum version must reproduce."""
+    if not 1 <= parts <= len(layers):
+        raise ValueError(f"parts must be in [1, {len(layers)}], got {parts}")
+    total = sum(l.forward_flops() for l in layers)
+    target = total / parts
+    groups, current, acc, remaining_groups = [], [], 0.0, parts
+    for i, layer in enumerate(layers):
+        current.append(layer)
+        acc += layer.forward_flops()
+        remaining_layers = len(layers) - i - 1
+        if (remaining_groups > 1 and acc >= target
+                and remaining_layers >= remaining_groups - 1):
+            groups.append(current)
+            current, acc = [], 0.0
+            remaining_groups -= 1
+    if current:
+        groups.append(current)
+    while len(groups) < parts:
+        idx = max(
+            (i for i, g in enumerate(groups) if len(g) >= 2),
+            key=lambda i: sum(l.forward_flops() for l in groups[i]),
+            default=None,
+        )
+        if idx is None:
+            raise ValueError("cannot split model into that many stages")
+        g = groups[idx]
+        mid = len(g) // 2
+        groups[idx:idx + 1] = [g[:mid], g[mid:]]
+    return groups
+
+
+def _outcome(partition, *args):
+    try:
+        return [[l.name for l in g] for g in partition(*args)]
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestPartitionMatchesReference:
+    """The prefix-sum partitioner yields the original algorithm's groups,
+    errors included, for every zoo model and stage count."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+    def test_every_stage_count(self, name):
+        model = build_model(name)
+        counts = list(range(1, min(len(model), 128) + 1))
+        counts += [0, len(model) + 1]
+        for parts in counts:
+            assert _outcome(model.partition_depth, parts) == _outcome(
+                _reference_partition, model.layers, parts), (name, parts)
+
+    def test_tied_groups_split_the_earliest(self):
+        # One heavy conv, then six equal ReLUs: the greedy pass closes
+        # [conv] and leaves [r1..r6]; halving that makes two equal
+        # groups, and the next split must take the earlier one.
+        conv = Conv("c", TensorSpec(3, (16, 16)), 8, kernel=3, padding=1)
+        relus = [ReLU(f"r{i}", conv.output) for i in range(1, 7)]
+        g = ModelGraph("m", [conv] + relus)
+        assert _outcome(g.partition_depth, 4) == [
+            ["c"], ["r1"], ["r2", "r3"], ["r4", "r5", "r6"]]
+        for parts in range(1, len(g) + 2):
+            assert _outcome(g.partition_depth, parts) == _outcome(
+                _reference_partition, g.layers, parts)

@@ -20,6 +20,7 @@ import repro.core.analytical as analytical_mod
 from repro.api.session import Session
 from repro.api.spec import ScenarioSpec
 from repro.core.kernel import ModelKernel
+from repro.core.oracle import ParaDL
 from repro.serve import PlanningClient, PlanningServer, SessionPool
 from repro.serve.pool import scenario_fingerprint
 
@@ -246,9 +247,12 @@ def test_kernel_compiles_exactly_once_across_threads(monkeypatch):
         compiles.append(threading.get_ident())
         return original_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(ModelKernel, "__init__", counting_init)
     session = Session(spec_for(PROJECT_DOC))
-    model = session.oracle.analytical
+    # A Session's oracle adopts the artifact store's kernel, compiled
+    # with the profile; a hand-built oracle compiles lazily on first
+    # touch, which is the seam these threads race.
+    model = ParaDL(session.model, session.cluster, session.profile).analytical
+    monkeypatch.setattr(ModelKernel, "__init__", counting_init)
     barrier = threading.Barrier(8)
 
     def touch():
