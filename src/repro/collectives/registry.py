@@ -337,9 +337,8 @@ register(FormulaAlgorithm("reduce", "binomial-tree", reduce_time))
 # elements are masked to zero by the caller — several formulas (tree,
 # binomial) do not vanish at a singleton communicator on their own.
 #
-# These are plain arithmetic over whatever array type is passed in; the
-# module itself never imports numpy, keeping the soft dependency in
-# :mod:`repro.npcompat` only.
+# These are plain arithmetic over whatever array type is passed in, so
+# the module itself never imports numpy.
 
 
 def _arr_ring_allreduce(p, m, alpha, beta, log2p, ceil_log2p):

@@ -48,7 +48,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from .. import npcompat
+import numpy as np
+
 from ..network.hockney import HockneyParams
 from ..network.topology import ClusterSpec
 from .algorithms import TREE_THRESHOLD_BYTES
@@ -432,14 +433,7 @@ class CommModel:
         Batch calls bypass the choose memo; they tally into
         :attr:`selections` and the ``batched_calls`` /
         ``batched_elements`` stats instead of the memo hit/miss pair.
-        Raises :class:`RuntimeError` when numpy is unavailable — callers
-        gate on :func:`repro.npcompat.have_numpy`.
         """
-        np = npcompat.np
-        if np is None:
-            raise RuntimeError(
-                "CommModel.time_batch requires numpy; use choose()"
-            )
         if collective not in COLLECTIVES:
             raise ValueError(
                 f"unknown collective {collective!r}; expected one of "
@@ -502,12 +496,12 @@ class CommModel:
 
         pf = p_arr.astype(np.float64)
         resolved = self._resolve_batch(
-            np, collective, forced, default, pf, m, alpha, beta, l2, cl2,
+            collective, forced, default, pf, m, alpha, beta, l2, cl2,
             inv, upy, scope, shape,
         )
         if resolved is None:
             return self._time_batch_scalar(
-                np, collective, p_arr, m, params, alpha, beta, scope,
+                collective, p_arr, m, params, alpha, beta, scope,
                 transport, shape,
             )
         seconds, algorithms, index = resolved
@@ -526,11 +520,11 @@ class CommModel:
             index[free] = fi
         elif index is not None:
             index = np.broadcast_to(index, shape)
-        self._tally_batch(np, collective, algorithms, index, shape)
+        self._tally_batch(collective, algorithms, index, shape)
         return BatchChoice(collective, seconds, algorithms, index)
 
     def _resolve_batch(
-        self, np, collective, forced, default, pf, m, alpha, beta, l2,
+        self, collective, forced, default, pf, m, alpha, beta, l2,
         cl2, inv, upy, scope, shape,
     ):
         """Array-path policy dispatch; ``None`` demands the scalar loop."""
@@ -574,7 +568,7 @@ class CommModel:
                 )
             elif type(algo) is HierarchicalAllreduce:
                 rows.append(
-                    self._hierarchical_batch(np, m, inv, upy, scope, shape)
+                    self._hierarchical_batch(m, inv, upy, scope, shape)
                 )
             else:
                 return None
@@ -583,7 +577,7 @@ class CommModel:
         index = np.argmin(stack, axis=0)
         return stack.min(axis=0), tuple(names), index
 
-    def _hierarchical_batch(self, np, m, inv, upy, scope, shape):
+    def _hierarchical_batch(self, m, inv, upy, scope, shape):
         """Per-element hierarchical-Allreduce cost; ``+inf`` where the
         communicator does not span whole nodes (never selected)."""
         elig = []
@@ -627,7 +621,7 @@ class CommModel:
         )
 
     def _time_batch_scalar(
-        self, np, collective, p_arr, m, params, alpha, beta, scope,
+        self, collective, p_arr, m, params, alpha, beta, scope,
         transport, shape,
     ):
         """Elementwise fallback through :meth:`choose` for configurations
@@ -657,7 +651,7 @@ class CommModel:
         index = np.asarray(idx, dtype=np.int64).reshape(shape)
         return BatchChoice(collective, seconds, algorithms, index)
 
-    def _tally_batch(self, np, collective, algorithms, index, shape):
+    def _tally_batch(self, collective, algorithms, index, shape):
         total = 1
         for d in shape:
             total *= d

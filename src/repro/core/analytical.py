@@ -22,17 +22,15 @@ split/concat overhead, redundant tail computation, external congestion) live
 in :mod:`repro.simulator` instead — the gap between the two is what the
 paper's accuracy metric measures.
 
-Two evaluation paths produce every projection:
-
-* the **reference path** (``path="reference"``) — the original
-  per-layer walks, kept verbatim as the executable specification;
-* the **fast path** (the default) — closed-form arithmetic over a
-  compiled :class:`~repro.core.kernel.ModelKernel` of per-model
-  invariants, built lazily once per analyzer.
-
-Both agree to ``rel <= 1e-9`` (floating-point reassociation of
-per-layer sums is the only difference); the equivalence is pinned
-across the model zoo x strategy families x comm policies by
+Each strategy family's closed form is written once (the ``_*_form``
+functions) over a compiled :class:`~repro.core.kernel.ModelKernel` of
+per-model invariants, and runs two ways: one candidate as plain Python
+numbers (:meth:`AnalyticalModel.project`) or one family's candidates as
+numpy columns (:meth:`AnalyticalModel.project_batch`).  The original
+per-layer walks survive as ``path="reference"``, the executable
+specification.  Both paths agree to ``rel <= 1e-9`` (floating-point
+reassociation of per-layer sums is the only difference), pinned across
+the model zoo x strategy families x comm policies by
 ``tests/test_fast_path_equivalence.py`` and against the golden seed
 projections by ``tests/test_comm_golden.py``.
 """
@@ -40,10 +38,14 @@ projections by ``tests/test_comm_golden.py``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from itertools import repeat, starmap
+from operator import attrgetter
+from typing import (
+    Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union)
 
-from .. import npcompat
+import numpy as np
+
 from ..collectives.selector import (
     BatchChoice,
     CommChoice,
@@ -210,12 +212,6 @@ class _AlgoLog:
             (phase, "+".join(labels))
             for phase, labels in self.entries.items()
         )
-
-
-class _ScalarFallback(Exception):
-    """Internal: a batch handler met a configuration it does not
-    vectorize (e.g. checkpointed pipelines); the caller re-projects the
-    whole group through the scalar path."""
 
 
 @dataclass(frozen=True)
@@ -450,49 +446,32 @@ class AnalyticalModel:
         err = self._checked(strategy, batch)
         if err is not None:
             raise err
-        if path == "fast":
-            handler = {
-                "serial": self._fast_serial,
-                "d": self._fast_data,
-                "z": self._fast_sharded_data,
-                "s": self._fast_spatial,
-                "p": self._fast_pipeline,
-                "f": self._fast_filter,
-                "c": self._fast_channel,
-                "df": self._fast_data_filter,
-                "ds": self._fast_data_spatial,
-            }[strategy.id]
-        else:
-            handler = {
-                "serial": self._serial,
-                "d": self._data,
-                "z": self._sharded_data,
-                "s": self._spatial,
-                "p": self._pipeline,
-                "f": self._filter,
-                "c": self._channel,
-                "df": self._data_filter,
-                "ds": self._data_spatial,
-            }[strategy.id]
         comm_model = self._resolve_comm(comm)
+        reference, form = _FAMILIES[strategy.id]
+        if path == "fast":
+            return form(_Row(self, strategy, batch, comm_model), dataset_size)
         log = _AlgoLog()
-        per_epoch, memory, notes = handler(
-            strategy, batch, dataset_size, comm_model, log
+        per_epoch, memory, notes = reference(
+            self, strategy, batch, dataset_size, comm_model, log
         )
-        return Projection(
-            model_name=self.model.name,
-            strategy=strategy,
-            batch=batch,
-            dataset_size=dataset_size,
-            per_epoch=per_epoch,
+        return self._projection(
+            strategy, batch, dataset_size, per_epoch, memory, tuple(notes),
+            comm_model.policy, log.items())
+
+    def _projection(self, strategy, batch, dataset_size, per_epoch, memory,
+                    notes, policy, algorithms) -> Projection:
+        """``Projection(...)`` field for field, minus the frozen
+        ``__init__``'s per-field guarded setattr."""
+        proj = object.__new__(Projection)
+        proj.__dict__.update(
+            model_name=self.model.name, strategy=strategy, batch=batch,
+            dataset_size=dataset_size, per_epoch=per_epoch,
             memory_bytes=memory,
-            memory_capacity=self.cluster.gpu_memory_bytes,
-            gamma=self.gamma,
-            delta=self.delta,
-            notes=tuple(notes),
-            comm_policy=comm_model.policy,
-            comm_algorithms=log.items(),
+            memory_capacity=self.cluster.gpu_memory_bytes, gamma=self.gamma,
+            delta=self.delta, notes=notes, comm_policy=policy,
+            comm_algorithms=algorithms,
         )
+        return proj
 
     def project_inference(
         self,
@@ -544,23 +523,13 @@ class AnalyticalModel:
         # gradient buffer, no optimizer state).  The training formula
         # counts both at 2x, so inference memory is half.
         memory = train.memory_bytes / 2
-        return Projection(
-            model_name=train.model_name,
-            strategy=strategy,
-            batch=batch,
-            dataset_size=dataset_size,
-            per_epoch=per_epoch,
-            memory_bytes=memory,
-            memory_capacity=train.memory_capacity,
-            gamma=self.gamma,
-            delta=self.delta,
-            notes=train.notes + ("inference (forward-only)",),
-            comm_policy=train.comm_policy,
-            # Only the collectives the forward-only projection actually
-            # contains (gradient exchange vanishes; fb shrinks to the
-            # re-costed Allgather leg).
-            comm_algorithms=inf_log.items(),
-        )
+        # The log keeps only the collectives the forward-only projection
+        # contains (gradient exchange vanishes; fb shrinks to the re-costed
+        # Allgather leg).
+        return self._projection(
+            strategy, batch, dataset_size, per_epoch, memory,
+            train.notes + ("inference (forward-only)",), train.comm_policy,
+            inf_log.items())
 
     # ---------------------------------------------------------------- pieces
     def _weights_bytes(self) -> float:
@@ -948,304 +917,7 @@ class AnalyticalModel:
         return self._spatial_memory(grid, int(group_batch) or 1,
                                     group_batch=group_batch)
 
-    # ------------------------------------------------------------ fast path
-    # Closed-form re-statements of the reference analyzers above, over the
-    # compiled :attr:`kernel` invariants.  Each mirrors its reference
-    # handler term for term: identical collective calls (same sizes, same
-    # order of first appearance, so the algorithm log matches exactly),
-    # identical error messages, and sums that differ only by floating-
-    # point reassociation (<= 1e-9 relative, pinned by
-    # tests/test_fast_path_equivalence.py).
-
-    def _fast_comp(self, D: int, I: int, p_div: float, wu_div: float = 1.0
-                   ) -> PhaseBreakdown:
-        """`_comp` over the kernel's profile totals (bit-identical)."""
-        k = self.kernel
-        return PhaseBreakdown(
-            comp_fw=D / p_div * k.fw_total,
-            comp_bw=D / p_div * k.bw_total,
-            comp_wu=I / wu_div * k.wu_total,
-        )
-
-    def _fast_memory(
-        self,
-        batch_act: float,
-        weight_div: float = 1.0,
-        act_div: float = 1.0,
-    ) -> float:
-        """`_memory_terms` as one closed form over exact element sums."""
-        k = self.kernel
-        return self.gamma * self.delta * (
-            2.0 * batch_act * k.io_elements / act_div
-            + 2.0 * k.weight_elements / weight_div
-            + k.bias_elements
-        )
-
-    def _fast_halo(
-        self, grid: Tuple[int, ...], B: int, params: HockneyParams
-    ) -> float:
-        """`_halo_epoch_time` from the kernel's per-grid halo table."""
-        st = self.kernel.spatial(grid)
-        if st.halo_pairs == 0:
-            return 0.0
-        return (
-            4.0 * params.alpha * st.halo_pairs
-            + 2.0 * B * st.halo_elements * self.delta * params.beta
-        )
-
-    def _fast_spatial_memory(
-        self, grid: Tuple[int, ...], group_batch: float
-    ) -> float:
-        """`_spatial_memory` from the kernel's split/unsplit sums."""
-        st = self.kernel.spatial(grid)
-        p2 = 1
-        for g in grid:
-            p2 *= g
-        k = self.kernel
-        return self.gamma * self.delta * (
-            2.0 * group_batch * (st.split_io / p2 + st.rest_io)
-            + 2.0 * k.weight_elements + k.bias_elements
-        )
-
-    def _fast_layerwise(
-        self,
-        group_p: int,
-        msg_div: int,
-        B: float,
-        comm: CommModel,
-        log: _AlgoLog,
-        params: Optional[HockneyParams] = None,
-        scope: str = "auto",
-    ) -> float:
-        """`_layerwise_collectives` over the distinct-activation table:
-        one Allgather + Allreduce choice per distinct ``|y_l|`` (in
-        first-appearance order, so the log dedups identically), scaled
-        by multiplicity."""
-        if group_p <= 1:
-            return 0.0
-        delta = self.delta
-        total = 0.0
-        for y, count in self.kernel.layerwise_sizes:
-            seg = B * y * delta / msg_div
-            ag = comm.choose(
-                "allgather", group_p, seg, params=params, scope=scope)
-            log.add("fb", ag)
-            ar = comm.choose(
-                "allreduce", group_p, seg * group_p, params=params,
-                scope=scope)
-            log.add("fb", ar)
-            total += count * (ag.seconds + ar.seconds)
-        return total
-
-    def _fast_layerwise_forward_leg(
-        self, strategy: Strategy, B: int, comm: CommModel, log: _AlgoLog
-    ) -> float:
-        """`_layerwise_forward_leg` over the distinct-activation table."""
-        sid = strategy.id
-        if sid == "df":
-            group_p, msg_div = strategy.p2, strategy.p
-            params = self.cluster.hockney_intra(strategy.p2)
-            scope = "intra-node"
-        else:  # f / c
-            group_p, msg_div = strategy.p, strategy.p
-            params, scope = None, "auto"
-        if group_p <= 1:
-            return 0.0
-        total = 0.0
-        for y, count in self.kernel.layerwise_sizes:
-            seg = B * y * self.delta / msg_div
-            if sid == "c":
-                choice = comm.choose(
-                    "allreduce", group_p, seg * group_p,
-                    params=params, scope=scope,
-                )
-            else:
-                choice = comm.choose(
-                    "allgather", group_p, seg, params=params, scope=scope
-                )
-            log.add("fb", choice)
-            total += count * choice.seconds
-        return total
-
-    def _fast_serial(self, strategy: Serial, B: int, D: int, comm, log):
-        I = D // B
-        comp = self._fast_comp(D, I, p_div=1.0)
-        memory = self._fast_memory(batch_act=B)
-        return comp, memory, []
-
-    def _fast_data(self, strategy: DataParallel, B: int, D: int, comm, log):
-        p = strategy.p
-        I = D // B
-        comp = self._fast_comp(D, I, p_div=p)
-        ge = I * self._coll(
-            comm, log, "ge", "allreduce", p, self._weights_bytes()
-        )
-        per_epoch = replace(comp, comm_ge=ge)
-        memory = self._fast_memory(batch_act=B / p)
-        return per_epoch, memory, []
-
-    def _fast_sharded_data(self, strategy: ShardedDataParallel, B: int,
-                           D: int, comm, log):
-        p = strategy.p
-        I = D // B
-        comp = self._fast_comp(D, I, p_div=p, wu_div=p)
-        wbytes = self._weights_bytes()
-        ge = I * (
-            self._coll(comm, log, "ge", "reduce_scatter", p, wbytes)
-            + 2 * self._coll(comm, log, "ge", "allgather", p, wbytes / p)
-        )
-        per_epoch = replace(comp, comm_ge=ge)
-        k = self.kernel
-        memory = self.gamma * self.delta * (
-            2.0 * (B / p) * k.io_elements + k.weight2_plus_bias / p
-        )
-        return per_epoch, memory, ["weights/optimizer state sharded 1/p"]
-
-    def _fast_spatial(self, strategy: SpatialParallel, B: int, D: int,
-                      comm, log):
-        p = strategy.p
-        I = D // B
-        comp = self._fast_comp(D, I, p_div=p)
-        ge = I * self._coll(
-            comm, log, "ge", "allreduce", p, self._weights_bytes()
-        )
-        halo_params = self.cluster.hockney(p, transport=self.halo_transport)
-        halo = I * self._fast_halo(strategy.grid, B, halo_params)
-        per_epoch = replace(comp, comm_ge=ge, comm_halo=halo)
-        memory = self._fast_spatial_memory(strategy.grid, B)
-        notes = [f"halo over {self.halo_transport} transport"]
-        return per_epoch, memory, notes
-
-    def _fast_pipeline(self, strategy: PipelineParallel, B: int, D: int,
-                       comm, log):
-        p, S = strategy.stages, strategy.segments
-        I = D // B
-        table = self.kernel.pipeline(p)
-        bubble = (p + S - 1) / S
-        checkpoint = getattr(strategy, "checkpoint", False)
-        fw_factor = 2.0 if checkpoint else 1.0
-        comp = PhaseBreakdown(
-            comp_fw=D * bubble * table.max_fw * fw_factor,
-            comp_bw=D * bubble * table.max_bw,
-            comp_wu=I * table.max_wu,
-        )
-        params = self.cluster.hockney(p)
-        if p > 1 and len(table.sizes) > 1:
-            # p2p is monotone in the message size, so the heaviest
-            # boundary activation decides the per-stage cost.
-            per_stage = comm.p2p(
-                B / S * table.max_boundary * self.delta, params=params)
-            comm_p2p = 2 * D * (p + S - 2) / B * per_stage
-        else:
-            comm_p2p = 0.0
-        per_epoch = replace(comp, comm_p2p=comm_p2p)
-        gd = self.gamma * self.delta
-        if checkpoint:
-            memory = max(
-                gd * (B / S * io2 + wb) + gd * 2.0 * B * last
-                for io2, wb, last in table.mem_groups
-            )
-            notes = [
-                f"stages balanced by FLOPs: {list(table.sizes)}",
-                "gradient checkpointing at stage boundaries (+1 forward)",
-            ]
-        else:
-            memory = max(
-                gd * (B * io2 + wb) for io2, wb, _ in table.mem_groups
-            )
-            notes = [f"stages balanced by FLOPs: {list(table.sizes)}"]
-        return per_epoch, memory, notes
-
-    def _fast_filter(self, strategy: FilterParallel, B: int, D: int,
-                     comm, log):
-        p = strategy.p
-        I = D // B
-        comp = self._fast_comp(D, I, p_div=p, wu_div=p)
-        fb = I * self._fast_layerwise(p, p, B, comm, log)
-        per_epoch = replace(comp, comm_fb=fb)
-        memory = self._fast_memory(batch_act=B, weight_div=p)
-        return per_epoch, memory, []
-
-    def _fast_channel(self, strategy: ChannelParallel, B: int, D: int,
-                      comm, log):
-        p = strategy.p
-        I = D // B
-        comp = self._fast_comp(D, I, p_div=p, wu_div=p)
-        fb = I * self._fast_layerwise(p, p, B, comm, log)
-        per_epoch = replace(comp, comm_fb=fb)
-        memory = self._fast_memory(batch_act=B, weight_div=p)
-        return per_epoch, memory, []
-
-    def _fast_data_filter(self, strategy: DataFilterParallel, B: int,
-                          D: int, comm, log):
-        p1, p2, p = strategy.p1, strategy.p2, strategy.p
-        I = D // B
-        comp = self._fast_comp(D, I, p_div=p, wu_div=p2)
-        intra = self.cluster.hockney_intra(p2)
-        fb = self._fast_layerwise(
-            p2, p, B, comm, log, params=intra, scope="intra-node"
-        )
-        ge = 0.0
-        if p1 > 1:
-            inter = self.cluster.hockney(p)
-            if self.contention:
-                inter = inter.with_contention(data_filter_phi(self.cluster, p2))
-            ge = self._coll(
-                comm, log, "ge", "allreduce", p1,
-                self._weights_bytes() / p2,
-                params=inter, scope="inter-node",
-            )
-        per_epoch = replace(comp, comm_fb=I * fb, comm_ge=I * ge)
-        memory = self._fast_memory(batch_act=B / p1, weight_div=p2)
-        notes = []
-        if self.contention and p1 > 1:
-            notes.append(
-                f"GE beta scaled by phi={data_filter_phi(self.cluster, p2):.2f}"
-            )
-        return per_epoch, memory, notes
-
-    def _fast_data_spatial(self, strategy: DataSpatialParallel, B: int,
-                           D: int, comm, log):
-        p1, p2, p = strategy.p1, strategy.p2, strategy.p
-        I = D // B
-        group_batch = B / p1
-        comp = self._fast_comp(D, I, p_div=p, wu_div=1.0)
-        intra = self.cluster.hockney_intra(
-            p2, transport=self.halo_transport, floor=2
-        )
-        halo = 0.0
-        if p2 > 1:
-            halo = I * self._fast_halo(
-                strategy.grid, int(group_batch) or 1, intra)
-        L = getattr(strategy, "leaders", 1)
-        wbytes = self._weights_bytes()
-        nvl = self.cluster.hockney_intra(p2, floor=2)
-        ge = (
-            self._coll(comm, log, "ge", "reduce", p2, wbytes / L,
-                       params=nvl, scope="intra-node")
-            + self._coll(comm, log, "ge", "broadcast", p2, wbytes / L,
-                         params=nvl, scope="intra-node")
-        )
-        if p1 > 1:
-            inter = self.cluster.hockney(p)
-            if self.contention and L > self.cluster.node.nics:
-                inter = inter.with_contention(L / self.cluster.node.nics)
-            ge += self._coll(comm, log, "ge", "allreduce", p1, wbytes / L,
-                             params=inter, scope="inter-node")
-        per_epoch = replace(comp, comm_halo=halo, comm_ge=I * ge)
-        memory = self._fast_spatial_memory(strategy.grid, group_batch)
-        notes = [] if L == 1 else [f"multi-leader allreduce: L={L}"]
-        return per_epoch, memory, notes
-
-    # ------------------------------------------------------------ batch path
-    # Structure-of-arrays re-statements of the fast handlers above: one
-    # strategy family per sub-batch, candidate columns (p, p1, p2, B) as
-    # float64 vectors, collective costs via CommModel.time_batch.  Array
-    # expressions are written operator-for-operator like the fast
-    # handlers, so elementwise terms are bit-identical; only the
-    # layer-wise reductions (numpy pairwise sums vs. sequential Python
-    # sums) reassociate, keeping batch == fast == reference within
-    # rel <= 1e-9 (pinned by tests/test_vectorized_equivalence.py).
+    # ------------------------------------------------------ production path
 
     def project_batch(
         self,
@@ -1265,10 +937,11 @@ class AnalyticalModel:
         :meth:`project`'s ``comm``.
 
         Candidates are grouped by (strategy family, resolved comm model)
-        and each group is evaluated as array expressions over the
-        compiled kernel.  Without numpy — or for the rare configuration
-        a batch handler does not vectorize — candidates fall back to the
-        scalar fast path with identical results.
+        and each group evaluates its family's closed form once, as numpy
+        columns.  A group whose columns hit a resolution error (a stage
+        count, grid or communicator the model or cluster cannot host) is
+        re-projected row by row, so every candidate gets exactly the
+        answer or error :meth:`project` gives it.
         """
         n = len(strategies)
         if len(batches) != n:
@@ -1278,19 +951,7 @@ class AnalyticalModel:
         elif len(comms) != n:
             raise ValueError("comms must align with strategies")
         results: List[Union[Projection, Exception]] = [None] * n  # type: ignore[list-item]
-        np = npcompat.np
-        if np is None:
-            for i in range(n):
-                try:
-                    results[i] = self.project(
-                        strategies[i], batches[i], dataset_size,
-                        comm=comms[i])
-                except (StrategyError, ValueError) as exc:
-                    results[i] = exc
-            return results
-        groups: Dict[Tuple[str, int], List[int]] = {}
-        models: Dict[Tuple[str, int], CommModel] = {}
-        alive: List[CommModel] = []  # pin ids used as group keys
+        groups: Dict[Tuple[str, CommModel], List[int]] = {}
         for i in range(n):
             b = batches[i]
             if b < 1 or dataset_size < b:
@@ -1300,37 +961,14 @@ class AnalyticalModel:
             if err is not None:
                 results[i] = err
                 continue
-            cm = self._resolve_comm(comms[i])
-            alive.append(cm)
-            key = (strategies[i].id, id(cm))
-            models[key] = cm
+            key = (strategies[i].id, self._resolve_comm(comms[i]))
             groups.setdefault(key, []).append(i)
-        # Loop-invariant Projection fields, applied via object.__new__ +
-        # __dict__.update below: field-for-field identical to calling
-        # Projection(...), minus the frozen __init__'s per-field guarded
-        # setattr — measurable over thousands of assembled rows.
-        proto = {
-            "model_name": self.model.name,
-            "dataset_size": dataset_size,
-            "memory_capacity": self.cluster.gpu_memory_bytes,
-            "gamma": self.gamma,
-            "delta": self.delta,
-        }
-        for key, idxs in groups.items():
-            handler = self._BATCH_HANDLERS.get(key[0])
-            cm = models[key]
-            sub = [strategies[i] for i in idxs]
-            bat = [batches[i] for i in idxs]
-            rows = None
-            if handler is not None:
-                try:
-                    rows = handler(self, np, sub, bat, dataset_size, cm)
-                except (_ScalarFallback, StrategyError, ValueError):
-                    # Unvectorizable configuration, or a resolution error
-                    # the scalar path raises per candidate: re-project
-                    # the group one by one (identical answers).
-                    rows = None
-            if rows is None:
+        for (sid, cm), idxs in groups.items():
+            xp = _Cols(self, [strategies[i] for i in idxs],
+                       [batches[i] for i in idxs], cm)
+            try:
+                rows = _FAMILIES[sid][1](xp, dataset_size)
+            except (StrategyError, ValueError):
                 for i in idxs:
                     try:
                         results[i] = self.project(
@@ -1339,569 +977,480 @@ class AnalyticalModel:
                     except (StrategyError, ValueError) as exc:
                         results[i] = exc
                 continue
-            policy = cm.policy
             for i, row in zip(idxs, rows):
-                if isinstance(row, Exception):
-                    results[i] = row
-                    continue
-                per_epoch, memory, notes, algos = row
-                proj = object.__new__(Projection)
-                proj.__dict__.update(
-                    proto,
-                    strategy=strategies[i],
-                    batch=batches[i],
-                    per_epoch=per_epoch,
-                    memory_bytes=memory,
-                    notes=notes,
-                    comm_policy=policy,
-                    comm_algorithms=algos,
-                )
-                results[i] = proj
+                results[i] = row
         return results
 
-    # ------------------------------------------------------- batch helpers
-    def _batch_base(self, np, strats, batches):
-        n = len(strats)
-        p_int = np.fromiter((s.p for s in strats), dtype=np.int64, count=n)
-        B = np.asarray(batches, dtype=np.int64)
-        return n, p_int, B
+    def _fast_layerwise_forward_leg(
+        self, strategy: Strategy, B: int, comm: CommModel, log: _AlgoLog
+    ) -> float:
+        """`_layerwise_forward_leg` over the distinct-activation table."""
+        xp = _Row(self, strategy, B, comm, log)
+        if strategy.id == "df":
+            return xp.layerwise(
+                strategy.p2, strategy.p, B,
+                self.cluster.hockney_intra(strategy.p2), "intra-node",
+                legs=("allgather",))
+        return xp.layerwise(strategy.p, strategy.p, B, legs=(
+            ("allreduce",) if strategy.id == "c" else ("allgather",)))
 
-    def _per_unique(self, np, keys_int, fn):
-        """``fn(int)`` once per unique value of ``keys_int``, mapped back
-        per element as two float64 (alpha, beta) columns."""
-        uvals, inv = np.unique(keys_int, return_inverse=True)
-        inv = inv.reshape(keys_int.shape)
-        res = [fn(int(v)) for v in uvals]
-        a = np.asarray([x.alpha for x in res], dtype=np.float64)[inv]
-        b = np.asarray([x.beta for x in res], dtype=np.float64)[inv]
-        return a, b
 
-    def _choice_labels(self, np, bc: BatchChoice, n):
-        """Per-item ``collective:algorithm`` labels + seconds for a
-        ``(n,)``-shaped :class:`BatchChoice`."""
-        lbls = bc.labels()
-        secs = np.broadcast_to(bc.seconds, (n,)).tolist()
-        if bc.index is None:
-            lab = [lbls[0]] * n
-        else:
-            lab = [
-                lbls[j]
-                for j in np.broadcast_to(bc.index, (n,)).tolist()
-            ]
-        return lab, secs
+# ---------------------------------------------------------------- evaluators
+# ``path="fast"`` writes each strategy family's closed form once (the
+# ``_*_form`` functions below) against an evaluator ``xp`` that runs it
+# two ways: :class:`_Row` (one candidate as plain Python numbers, for
+# ``project``) and :class:`_Cols` (numpy columns over one family's
+# candidates, for ``project_batch``).  Forms read candidate columns with
+# ``col`` (integers) / ``objs`` (anything else), map per-value functions
+# with ``each`` / ``hockney`` (memoized per unique key in column mode),
+# cost collectives with ``coll`` / ``layerwise``, and hand the finished
+# terms to ``build``; everything else is arithmetic that reads the same
+# over Python numbers and numpy arrays.  Forms mirror the reference walks
+# term for term: identical collective calls (same sizes, same order of
+# first appearance, so the algorithm log matches exactly), identical
+# error messages, and sums that differ only by floating-point
+# reassociation (<= 1e-9 relative, pinned by
+# tests/test_fast_path_equivalence.py).
+
+
+class _Row:
+    """One candidate as plain Python numbers: collectives costed with
+    :meth:`CommModel.choose` and logged in an :class:`_AlgoLog`."""
+
+    __slots__ = ("a", "k", "s", "B", "comm", "log")
+
+    def __init__(self, analyzer: AnalyticalModel, strategy: Strategy,
+                 batch: int, comm: CommModel,
+                 log: Optional[_AlgoLog] = None) -> None:
+        self.a = analyzer
+        self.k = analyzer.kernel
+        self.s = strategy
+        self.B = batch
+        self.comm = comm
+        self.log = _AlgoLog() if log is None else log
+
+    def col(self, get):
+        return get(self.s)
+
+    objs = col
 
     @staticmethod
-    def _ge_algos(parts):
-        """Assemble one ``("ge", "a+b")`` log entry from ``(label,
-        seconds)`` pairs in add order, mirroring _AlgoLog (zero-cost
-        choices skipped, labels deduplicated, ordered)."""
-        seen: List[str] = []
-        for lbl, sec in parts:
-            if sec > 0.0 and lbl not in seen:
-                seen.append(lbl)
-        return (("ge", "+".join(seen)),) if seen else ()
+    def each(fn, *cols):
+        return fn(*cols)
 
-    def _batch_layerwise(
-        self, np, group_p_int, msg_div, B, comm, params=None, scope="auto"
-    ):
-        """`_fast_layerwise` as a ``(candidates, distinct sizes)`` matrix:
-        per-iteration totals plus the Allgather/Allreduce BatchChoices
-        (for log assembly).  ``msg_div`` is a float64 column; ``params``
-        is ``None`` or ``(alpha, beta)`` columns shaped ``(n, 1)``."""
-        ka = self.kernel.arrays()
-        y = ka.layerwise_y
-        counts = ka.layerwise_count
-        gp_col = group_p_int[:, None]
-        seg = B[:, None] * y[None, :] * self.delta / msg_div[:, None]
+    hockney = each
+
+    @staticmethod
+    def fields(obj, *names):
+        return [getattr(obj, name) for name in names]
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+    maximum = staticmethod(max)
+
+    @staticmethod
+    def rowmax(fn, groups):
+        return max(starmap(fn, groups))
+
+    def coll(self, phase, collective, p, nbytes, params=None, scope="auto"):
+        choice = self.comm.choose(
+            collective, p, nbytes, params=params, scope=scope)
+        self.log.add(phase, choice)
+        return choice.seconds
+
+    def layerwise(self, group_p, msg_div, B, params=None, scope="auto",
+                  legs=("allgather", "allreduce")):
+        """Per-iteration layer-wise collectives (`_layerwise_collectives`)
+        over the kernel's distinct-activation table: one choice per leg
+        (the activation Allgather, the gradient Allreduce) per distinct
+        ``|y_l|``, in first-appearance order, scaled by multiplicity."""
+        if group_p <= 1:
+            return 0.0
+        choose, add, delta = self.comm.choose, self.log.add, self.a.delta
+        total = 0.0
+        for y, count in self.k.layerwise_sizes:
+            seg = B * y * delta / msg_div
+            seconds = 0.0
+            for collective in legs:
+                choice = choose(
+                    collective, group_p,
+                    seg if collective == "allgather" else seg * group_p,
+                    params=params, scope=scope)
+                add("fb", choice)
+                seconds += choice.seconds
+            total += count * seconds
+        return total
+
+    def build(self, D, fw, bw, wu, mem, notes=(), ge=0.0, fb=0.0, halo=0.0,
+              p2p=0.0) -> Projection:
+        return self.a._projection(
+            self.s, self.B, D,
+            PhaseBreakdown._build(fw, bw, wu, ge, fb, halo, p2p), mem, notes,
+            self.comm.policy, self.log.items())
+
+
+class _AB(NamedTuple):
+    """Hockney parameters as ``(alpha, beta)`` columns."""
+
+    alpha: Any
+    beta: Any
+
+
+class _Cols:
+    """One strategy family's candidates as numpy columns: collectives
+    costed with :meth:`CommModel.time_batch`, per-row algorithm logs
+    assembled as :class:`_AlgoLog` would build them."""
+
+    def __init__(self, analyzer: AnalyticalModel,
+                 strategies: List[Strategy], batches: List[int],
+                 comm: CommModel) -> None:
+        self.a = analyzer
+        self.k = analyzer.kernel
+        self.strategies = strategies
+        self.batches = batches
+        self.n = len(strategies)
+        self.B = np.asarray(batches, dtype=np.int64)
+        self.comm = comm
+        #: ``(phase, options, codes)`` per collective leg, in add order:
+        #: row ``i`` added the labels ``options[codes[i]]``.
+        self.log: List[Tuple[str, List[Tuple[str, ...]], List[int]]] = []
+
+    def col(self, get):
+        return np.fromiter(map(get, self.strategies), dtype=np.int64,
+                           count=self.n)
+
+    def objs(self, get):
+        return list(map(get, self.strategies))
+
+    def each(self, fn, *cols):
+        keys = list(zip(*[
+            c.tolist() if isinstance(c, np.ndarray) else c for c in cols]))
+        memo = {key: fn(*key) for key in dict.fromkeys(keys)}
+        return [memo[key] for key in keys]
+
+    def hockney(self, fn, *cols):
+        params = self.each(fn, *cols)
+        return _AB(np.array([h.alpha for h in params]),
+                   np.array([h.beta for h in params]))
+
+    @staticmethod
+    def fields(objs, *names):
+        return [np.array([getattr(o, name) for o in objs], dtype=np.float64)
+                for name in names]
+
+    where = staticmethod(np.where)
+    maximum = staticmethod(np.maximum)
+
+    def rowmax(self, fn, groups):
+        """``max_g fn(*groups[i][g])`` per row, with ``fn`` broadcast over
+        ``(stages, rows)`` matrices of the ``(io2, wb, last)`` triples."""
+        cols = np.zeros((3, max(map(len, groups)), self.n))
+        cols[1] = -np.inf  # padding for shallower rows never wins the max
+        rows: Dict[int, Tuple[Any, List[int]]] = {}
+        for i, g in enumerate(groups):
+            rows.setdefault(id(g), (g, []))[1].append(i)
+        for g, sel in rows.values():
+            cols[:, :len(g), sel] = np.array(g, dtype=np.float64).T[:, :, None]
+        return fn(*cols).max(axis=0)
+
+    def _log(self, phase, bc: BatchChoice) -> None:
+        """Record one ``(n,)`` collective leg for per-row log assembly."""
+        sec = np.broadcast_to(bc.seconds, (self.n,))
+        index = 0 if bc.index is None else bc.index
+        codes = np.where(sec > 0.0, index, -1)
+        options = [(label,) for label in bc.labels()] + [()]
+        self.log.append((phase, options, codes.tolist()))
+
+    def coll(self, phase, collective, p, nbytes, params=None, scope="auto"):
+        bc = self.comm.time_batch(
+            collective, p, nbytes, params=params, scope=scope)
+        self._log(phase, bc)
+        return bc.seconds
+
+    def layerwise(self, group_p, msg_div, B, params=None, scope="auto"):
+        """The layer-wise leg as one ``(rows, distinct sizes)`` matrix."""
+        ka = self.k.arrays()
+        gp = group_p[:, None]
+        seg = B[:, None] * ka.layerwise_y * self.a.delta / msg_div[:, None]
+        if params is not None:
+            params = (params.alpha[:, None], params.beta[:, None])
+        comm = self.comm
         ag = comm.time_batch(
-            "allgather", gp_col, seg, params=params, scope=scope)
+            "allgather", gp, seg, params=params, scope=scope)
         ar = comm.time_batch(
-            "allreduce", gp_col, seg * group_p_int.astype(np.float64)[:, None],
-            params=params, scope=scope)
-        per_size = ag.seconds + ar.seconds
-        total = (counts[None, :] * per_size).sum(axis=1)
-        return total, ag, ar
+            "allreduce", gp, seg * gp, params=params, scope=scope)
+        pos_ag, pos_ar = ag.seconds > 0.0, ar.seconds > 0.0
+        row_ag, row_ar = pos_ag.any(axis=1), pos_ar.any(axis=1)
+        if (ag.index is None and ar.index is None
+                and (pos_ag.all(axis=1) == row_ag).all()
+                and (pos_ar.all(axis=1) == row_ar).all()):
+            # Uniform rows (the common case: every size positive for
+            # p > 1, none for p <= 1) log one leg of four outcomes.
+            ag_l, ar_l = ag.labels()[0], ar.labels()[0]
+            self.log.append(("fb", [(), (ag_l,), (ar_l,), (ag_l, ar_l)],
+                             (row_ag + 2 * row_ar).tolist()))
+        else:  # one leg per size, in the loop's interleaved add order
+            for j in range(len(ka.layerwise_y)):
+                for bc in (ag, ar):
+                    self._log("fb", BatchChoice(
+                        bc.collective, bc.seconds[:, j], bc.algorithms,
+                        None if bc.index is None else bc.index[:, j]))
+        return (ka.layerwise_count * (ag.seconds + ar.seconds)).sum(axis=1)
 
-    def _layerwise_log(self, np, ag: BatchChoice, ar: BatchChoice, n):
-        """Per-item "fb" label strings (or ``None``) for the layer-wise
-        leg, in `_fast_layerwise`'s interleaved add order."""
-        ag_l, ar_l = ag.labels(), ar.labels()
-        pos_ag = ag.seconds > 0.0
-        pos_ar = ar.seconds > 0.0
-        if ag.index is None and ar.index is None:
-            row_ag = pos_ag.any(axis=1)
-            row_ar = pos_ar.any(axis=1)
-            if bool((pos_ag.all(axis=1) == row_ag).all()) and bool(
-                (pos_ar.all(axis=1) == row_ar).all()
-            ):
-                # Uniform rows (the common case: every size positive for
-                # p > 1, every size zero for p <= 1).
-                out = []
-                for a_on, r_on in zip(row_ag.tolist(), row_ar.tolist()):
-                    parts = [ag_l[0]] if a_on else []
-                    if r_on and ar_l[0] not in parts:
-                        parts.append(ar_l[0])
-                    out.append("+".join(parts) if parts else None)
-                return out
-        ia = None if ag.index is None else ag.index.tolist()
-        ir = None if ar.index is None else ar.index.tolist()
-        pa = pos_ag.tolist()
-        pr = pos_ar.tolist()
+    def _algorithms(self):
+        """Per-row ``comm_algorithms``, assembled once per distinct
+        pattern of logged labels."""
+        if not self.log:
+            return repeat(())
+        memo: Dict[Tuple[int, ...], Tuple[Tuple[str, str], ...]] = {}
         out = []
-        for i in range(n):
-            parts: List[str] = []
-            for j in range(len(pa[i])):
-                if pa[i][j]:
-                    lbl = ag_l[0] if ia is None else ag_l[ia[i][j]]
-                    if lbl not in parts:
-                        parts.append(lbl)
-                if pr[i][j]:
-                    lbl = ar_l[0] if ir is None else ar_l[ir[i][j]]
-                    if lbl not in parts:
-                        parts.append(lbl)
-            out.append("+".join(parts) if parts else None)
+        for key in zip(*[codes for _, _, codes in self.log]):
+            algos = memo.get(key)
+            if algos is None:
+                entries: Dict[str, List[str]] = {}
+                for (phase, options, _), code in zip(self.log, key):
+                    for label in options[code]:
+                        labels = entries.setdefault(phase, [])
+                        if label not in labels:
+                            labels.append(label)
+                algos = memo[key] = tuple(
+                    (phase, "+".join(labels))
+                    for phase, labels in entries.items())
+            out.append(algos)
         return out
 
-    # ------------------------------------------------------ batch handlers
-    def _batch_serial(self, np, strats, batches, D, comm):
-        n, _, B = self._batch_base(np, strats, batches)
-        I = D // B
-        k = self.kernel
-        fw = (D / 1.0 * k.fw_total) + np.zeros(n)
-        bw = (D / 1.0 * k.bw_total) + np.zeros(n)
-        wu = I / 1.0 * k.wu_total
-        mem = self.gamma * self.delta * (
-            2.0 * B * k.io_elements
-            + 2.0 * k.weight_elements
-            + k.bias_elements
-        )
-        cp = fw + bw + wu
+    def build(self, D, fw, bw, wu, mem, notes=(), ge=0.0, fb=0.0, halo=0.0,
+              p2p=0.0) -> List[Projection]:
+        # Seed PhaseBreakdown's lazy totals, written as its properties are.
+        comp = fw + bw + wu
+        comm = ge + fb + halo + p2p
+        total = comp + comm
+
+        def rows(x):
+            return x.tolist() if isinstance(x, np.ndarray) else repeat(x)
+
+        projection, build = self.a._projection, PhaseBreakdown._build
+        policy = self.comm.policy
         return [
-            (
-                PhaseBreakdown._build(f, b, w, totals=(c, 0.0, c)),
-                m, (), (),
-            )
-            for f, b, w, m, c in zip(
-                fw.tolist(), bw.tolist(), wu.tolist(), mem.tolist(),
-                cp.tolist())
+            projection(s, b, D, build(f, w_bw, w_wu, g, l, h, q,
+                                      totals=(c, v, t)), m, nt, policy, algos)
+            for s, b, f, w_bw, w_wu, g, l, h, q, m, c, v, t, nt, algos in zip(
+                self.strategies, self.batches, rows(fw), rows(bw), rows(wu),
+                rows(ge), rows(fb), rows(halo), rows(p2p), rows(mem),
+                rows(comp), rows(comm), rows(total),
+                notes if isinstance(notes, list) else repeat(notes),
+                self._algorithms())
         ]
 
-    def _batch_data(self, np, strats, batches, D, comm):
-        n, p_int, B = self._batch_base(np, strats, batches)
-        p = p_int.astype(np.float64)
-        I = D // B
-        k = self.kernel
-        fw = D / p * k.fw_total
-        bw = D / p * k.bw_total
-        wu = I / 1.0 * k.wu_total
-        bc = comm.time_batch("allreduce", p_int, float(self._weights_bytes()))
-        ge = I * bc.seconds
-        mem = self.gamma * self.delta * (
-            2.0 * (B / p) * k.io_elements
-            + 2.0 * k.weight_elements
-            + k.bias_elements
-        )
-        labs, secs = self._choice_labels(np, bc, n)
-        cp = fw + bw + wu
-        tt = cp + ge
-        return [
-            (
-                PhaseBreakdown._build(f, b, w, g, totals=(c, g, t)),
-                m, (), self._ge_algos([(labs[i], secs[i])]),
-            )
-            for i, (f, b, w, g, m, c, t) in enumerate(zip(
-                fw.tolist(), bw.tolist(), wu.tolist(), ge.tolist(),
-                mem.tolist(), cp.tolist(), tt.tolist()))
-        ]
 
-    def _batch_sharded_data(self, np, strats, batches, D, comm):
-        n, p_int, B = self._batch_base(np, strats, batches)
-        p = p_int.astype(np.float64)
-        I = D // B
-        k = self.kernel
-        fw = D / p * k.fw_total
-        bw = D / p * k.bw_total
-        wu = I / p * k.wu_total
-        wbytes = self._weights_bytes()
-        rs = comm.time_batch("reduce_scatter", p_int, float(wbytes))
-        ag = comm.time_batch("allgather", p_int, wbytes / p)
-        ge = I * (rs.seconds + 2 * ag.seconds)
-        mem = self.gamma * self.delta * (
-            2.0 * (B / p) * k.io_elements + k.weight2_plus_bias / p
-        )
-        rs_lab, rs_sec = self._choice_labels(np, rs, n)
-        ag_lab, ag_sec = self._choice_labels(np, ag, n)
-        notes = ("weights/optimizer state sharded 1/p",)
-        cp = fw + bw + wu
-        tt = cp + ge
-        return [
-            (
-                PhaseBreakdown._build(f, b, w, g, totals=(c, g, t)),
-                m, notes,
-                self._ge_algos(
-                    [(rs_lab[i], rs_sec[i]), (ag_lab[i], ag_sec[i])]),
-            )
-            for i, (f, b, w, g, m, c, t) in enumerate(zip(
-                fw.tolist(), bw.tolist(), wu.tolist(), ge.tolist(),
-                mem.tolist(), cp.tolist(), tt.tolist()))
-        ]
+# ------------------------------------------------------------ closed forms
+# One function per strategy family: Table 3's computation, communication
+# and memory terms (the reference walk each mirrors is named in its
+# docstring), evaluated by ``xp`` as one row or as columns.
 
-    def _batch_spatial(self, np, strats, batches, D, comm):
-        n, p_int, B = self._batch_base(np, strats, batches)
-        p = p_int.astype(np.float64)
-        I = D // B
-        k = self.kernel
-        tables = self._spatial_tables(strats)
-        ok = [not isinstance(t, Exception) for t in tables]
-        fw = D / p * k.fw_total
-        bw = D / p * k.bw_total
-        wu = I / 1.0 * k.wu_total
-        bc = comm.time_batch("allreduce", p_int, float(self._weights_bytes()))
-        ge = I * bc.seconds
-        ha, hb = self._per_unique(
-            np, p_int,
-            lambda v: self.cluster.hockney(v, transport=self.halo_transport),
-        )
-        pairs = np.asarray(
-            [float(t.halo_pairs) if o else 0.0 for t, o in zip(tables, ok)])
-        helems = np.asarray(
-            [float(t.halo_elements) if o else 0.0
-             for t, o in zip(tables, ok)])
-        halo_iter = 4.0 * ha * pairs + 2.0 * B * helems * self.delta * hb
-        halo = np.where(pairs == 0.0, 0.0, I * halo_iter)
-        gridp = np.asarray(
-            [float(_grid_product(s.grid)) for s in strats])
-        split = np.asarray(
-            [float(t.split_io) if o else 0.0 for t, o in zip(tables, ok)])
-        rest = np.asarray(
-            [float(t.rest_io) if o else 0.0 for t, o in zip(tables, ok)])
-        mem = self.gamma * self.delta * (
-            2.0 * B * (split / gridp + rest)
-            + 2.0 * k.weight_elements + k.bias_elements
-        )
-        labs, secs = self._choice_labels(np, bc, n)
-        notes = (f"halo over {self.halo_transport} transport",)
-        cp = fw + bw + wu
-        cc = ge + halo
-        tt = cp + cc
-        rows = []
-        for i, (f, b, w, g, h, m, c, v, t) in enumerate(zip(
-                fw.tolist(), bw.tolist(), wu.tolist(), ge.tolist(),
-                halo.tolist(), mem.tolist(), cp.tolist(), cc.tolist(),
-                tt.tolist())):
-            if not ok[i]:
-                rows.append(tables[i])
-                continue
-            rows.append((
-                PhaseBreakdown._build(f, b, w, g, halo=h, totals=(c, v, t)),
-                m, notes, self._ge_algos([(labs[i], secs[i])]),
-            ))
-        return rows
-
-    def _spatial_tables(self, strats):
-        """Per-item kernel spatial tables; a bad grid maps to the
-        ValueError the scalar path raises for it."""
-        memo: Dict[Tuple[int, ...], object] = {}
-        out = []
-        for s in strats:
-            grid = tuple(s.grid)
-            entry = memo.get(grid)
-            if entry is None:
-                try:
-                    entry = self.kernel.spatial(grid)
-                except ValueError as exc:
-                    entry = exc
-                memo[grid] = entry
-            out.append(entry)
-        return out
-
-    def _batch_pipeline(self, np, strats, batches, D, comm):
-        if any(getattr(s, "checkpoint", False) for s in strats):
-            raise _ScalarFallback  # rare; the scalar memory max differs
-        n = len(strats)
-        p_int = np.fromiter(
-            (s.stages for s in strats), dtype=np.int64, count=n)
-        S_int = np.fromiter(
-            (s.segments for s in strats), dtype=np.int64, count=n)
-        B = np.asarray(batches, dtype=np.int64)
-        I = D // B
-        tmemo: Dict[int, object] = {}
-        tables = []
-        for s in strats:
-            entry = tmemo.get(s.stages)
-            if entry is None:
-                try:
-                    entry = self.kernel.pipeline(s.stages)
-                except ValueError as exc:
-                    entry = exc
-                tmemo[s.stages] = entry
-            tables.append(entry)
-        ok = [not isinstance(t, Exception) for t in tables]
-        bubble = (p_int + S_int - 1) / S_int
-        max_fw = np.asarray(
-            [t.max_fw if o else 0.0 for t, o in zip(tables, ok)])
-        max_bw = np.asarray(
-            [t.max_bw if o else 0.0 for t, o in zip(tables, ok)])
-        max_wu = np.asarray(
-            [t.max_wu if o else 0.0 for t, o in zip(tables, ok)])
-        fw = D * bubble * max_fw
-        bw = D * bubble * max_bw
-        wu = I * max_wu
-        pa, pb = self._per_unique(
-            np, p_int, lambda v: self.cluster.hockney(v))
-        boundary = np.asarray(
-            [float(t.max_boundary) if o else 0.0
-             for t, o in zip(tables, ok)])
-        per_stage = pa + (B / S_int * boundary * self.delta) * pb
-        active = (p_int > 1) & np.asarray(
-            [o and len(t.sizes) > 1 for t, o in zip(tables, ok)])
-        p2p = np.where(
-            active, 2 * D * (p_int + S_int - 2) / B * per_stage, 0.0)
-        gd = self.gamma * self.delta
-        mem = np.zeros(n)
-        by_table: Dict[int, List[int]] = {}
-        for i, s in enumerate(strats):
-            if ok[i]:
-                by_table.setdefault(s.stages, []).append(i)
-        for stages, sel in by_table.items():
-            t = tmemo[stages]
-            io2 = np.asarray([g[0] for g in t.mem_groups], dtype=np.float64)
-            wb = np.asarray([g[1] for g in t.mem_groups], dtype=np.float64)
-            bsel = B[sel].astype(np.float64)
-            mem[sel] = (gd * (bsel[:, None] * io2[None, :] + wb[None, :])
-                        ).max(axis=1)
-        cp = fw + bw + wu
-        tt = cp + p2p
-        rows = []
-        for i, (f, b, w, c, m, o, t) in enumerate(zip(
-                fw.tolist(), bw.tolist(), wu.tolist(), p2p.tolist(),
-                mem.tolist(), cp.tolist(), tt.tolist())):
-            if not ok[i]:
-                rows.append(tables[i])
-                continue
-            rows.append((
-                PhaseBreakdown._build(f, b, w, p2p=c, totals=(o, c, t)),
-                m,
-                (f"stages balanced by FLOPs: {list(tables[i].sizes)}",),
-                (),
-            ))
-        return rows
-
-    def _batch_layerwise_family(self, np, strats, batches, D, comm):
-        """Shared f/c handler (identical totals, reversed patterns)."""
-        n, p_int, B = self._batch_base(np, strats, batches)
-        p = p_int.astype(np.float64)
-        I = D // B
-        k = self.kernel
-        fw = D / p * k.fw_total
-        bw = D / p * k.bw_total
-        wu = I / p * k.wu_total
-        fbtot, ag, ar = self._batch_layerwise(np, p_int, p, B, comm)
-        fb = I * fbtot
-        mem = self.gamma * self.delta * (
-            2.0 * B * k.io_elements
-            + 2.0 * k.weight_elements / p
-            + k.bias_elements
-        )
-        fb_lab = self._layerwise_log(np, ag, ar, n)
-        cp = fw + bw + wu
-        tt = cp + fb
-        return [
-            (
-                PhaseBreakdown._build(f, b, w, fb=c, totals=(o, c, t)),
-                m, (),
-                (("fb", fb_lab[i]),) if fb_lab[i] else (),
-            )
-            for i, (f, b, w, c, m, o, t) in enumerate(zip(
-                fw.tolist(), bw.tolist(), wu.tolist(), fb.tolist(),
-                mem.tolist(), cp.tolist(), tt.tolist()))
-        ]
-
-    def _batch_data_filter(self, np, strats, batches, D, comm):
-        n, p_int, B = self._batch_base(np, strats, batches)
-        p = p_int.astype(np.float64)
-        p1_int = np.fromiter(
-            (s.p1 for s in strats), dtype=np.int64, count=n)
-        p2_int = np.fromiter(
-            (s.p2 for s in strats), dtype=np.int64, count=n)
-        p1 = p1_int.astype(np.float64)
-        p2 = p2_int.astype(np.float64)
-        I = D // B
-        k = self.kernel
-        fw = D / p * k.fw_total
-        bw = D / p * k.bw_total
-        wu = I / p2 * k.wu_total
-        ia, ib = self._per_unique(
-            np, p2_int, lambda v: self.cluster.hockney_intra(v))
-        fbtot, ag, ar = self._batch_layerwise(
-            np, p2_int, p, B, comm,
-            params=(ia[:, None], ib[:, None]), scope="intra-node",
-        )
-        fb = I * fbtot
-        # Contended inter-node parameters per unique (p, p2) pair; the
-        # phi note is keyed by p2 alone.
-        ea = np.zeros(n)
-        eb = np.zeros(n)
-        phi_note: Dict[int, str] = {}
-        pairs: Dict[Tuple[int, int], List[int]] = {}
-        for i, (pv, p2v) in enumerate(
-                zip(p_int.tolist(), p2_int.tolist())):
-            pairs.setdefault((pv, p2v), []).append(i)
-        for (pv, p2v), sel in pairs.items():
-            inter = self.cluster.hockney(pv)
-            if self.contention:
-                phi = data_filter_phi(self.cluster, p2v)
-                inter = inter.with_contention(phi)
-                phi_note.setdefault(p2v, f"GE beta scaled by phi={phi:.2f}")
-            ea[sel] = inter.alpha
-            eb[sel] = inter.beta
-        ge_bc = comm.time_batch(
-            "allreduce", p1_int, self._weights_bytes() / p2,
-            params=(ea, eb), scope="inter-node",
-        )
-        ge = I * ge_bc.seconds
-        mem = self.gamma * self.delta * (
-            2.0 * (B / p1) * k.io_elements
-            + 2.0 * k.weight_elements / p2
-            + k.bias_elements
-        )
-        fb_lab = self._layerwise_log(np, ag, ar, n)
-        ge_lab, ge_sec = self._choice_labels(np, ge_bc, n)
-        cp = fw + bw + wu
-        cc = ge + fb
-        tt = cp + cc
-        rows = []
-        for i, (f, b, w, cfb, g, m, o, v, t) in enumerate(zip(
-                fw.tolist(), bw.tolist(), wu.tolist(), fb.tolist(),
-                ge.tolist(), mem.tolist(), cp.tolist(), cc.tolist(),
-                tt.tolist())):
-            algos = []
-            if fb_lab[i]:
-                algos.append(("fb", fb_lab[i]))
-            if ge_sec[i] > 0.0:
-                algos.append(("ge", ge_lab[i]))
-            p1v = int(p1_int[i])
-            notes = (
-                (phi_note[int(p2_int[i])],)
-                if self.contention and p1v > 1
-                else ()
-            )
-            rows.append((
-                PhaseBreakdown._build(
-                    f, b, w, g, fb=cfb, totals=(o, v, t)),
-                m, notes, tuple(algos),
-            ))
-        return rows
-
-    def _batch_data_spatial(self, np, strats, batches, D, comm):
-        n, p_int, B = self._batch_base(np, strats, batches)
-        p = p_int.astype(np.float64)
-        p1_int = np.fromiter(
-            (s.p1 for s in strats), dtype=np.int64, count=n)
-        p2_int = np.fromiter(
-            (s.p2 for s in strats), dtype=np.int64, count=n)
-        p1 = p1_int.astype(np.float64)
-        I = D // B
-        k = self.kernel
-        group_batch = B / p1
-        fw = D / p * k.fw_total
-        bw = D / p * k.bw_total
-        wu = I / 1.0 * k.wu_total
-        tables = self._spatial_tables(strats)
-        ok = [not isinstance(t, Exception) for t in tables]
-        ha, hb = self._per_unique(
-            np, p2_int,
-            lambda v: self.cluster.hockney_intra(
-                v, transport=self.halo_transport, floor=2),
-        )
-        # int(group_batch) or 1, elementwise.
-        gb = np.trunc(group_batch)
-        gb = np.where(gb == 0.0, 1.0, gb)
-        pairs = np.asarray(
-            [float(t.halo_pairs) if o else 0.0 for t, o in zip(tables, ok)])
-        helems = np.asarray(
-            [float(t.halo_elements) if o else 0.0
-             for t, o in zip(tables, ok)])
-        halo_iter = 4.0 * ha * pairs + 2.0 * gb * helems * self.delta * hb
-        halo = np.where((p2_int > 1) & (pairs > 0.0), I * halo_iter, 0.0)
-        L_int = np.fromiter(
-            (getattr(s, "leaders", 1) for s in strats),
-            dtype=np.int64, count=n)
-        wl = self._weights_bytes() / L_int.astype(np.float64)
-        na, nb = self._per_unique(
-            np, p2_int, lambda v: self.cluster.hockney_intra(v, floor=2))
-        rd = comm.time_batch(
-            "reduce", p2_int, wl, params=(na, nb), scope="intra-node")
-        bc = comm.time_batch(
-            "broadcast", p2_int, wl, params=(na, nb), scope="intra-node")
-        ea = np.zeros(n)
-        eb = np.zeros(n)
-        lpairs: Dict[Tuple[int, int], List[int]] = {}
-        for i, (pv, lv) in enumerate(zip(p_int.tolist(), L_int.tolist())):
-            lpairs.setdefault((pv, lv), []).append(i)
-        nics = self.cluster.node.nics
-        for (pv, lv), sel in lpairs.items():
-            inter = self.cluster.hockney(pv)
-            if self.contention and lv > nics:
-                inter = inter.with_contention(lv / nics)
-            ea[sel] = inter.alpha
-            eb[sel] = inter.beta
-        arr = comm.time_batch(
-            "allreduce", p1_int, wl, params=(ea, eb), scope="inter-node")
-        ge = I * ((rd.seconds + bc.seconds) + arr.seconds)
-        gridp = np.asarray(
-            [float(_grid_product(s.grid)) for s in strats])
-        split = np.asarray(
-            [float(t.split_io) if o else 0.0 for t, o in zip(tables, ok)])
-        rest = np.asarray(
-            [float(t.rest_io) if o else 0.0 for t, o in zip(tables, ok)])
-        mem = self.gamma * self.delta * (
-            2.0 * group_batch * (split / gridp + rest)
-            + 2.0 * k.weight_elements + k.bias_elements
-        )
-        rd_lab, rd_sec = self._choice_labels(np, rd, n)
-        bc_lab, bc_sec = self._choice_labels(np, bc, n)
-        ar_lab, ar_sec = self._choice_labels(np, arr, n)
-        cp = fw + bw + wu
-        cc = ge + halo
-        tt = cp + cc
-        rows = []
-        for i, (f, b, w, h, g, m, o, v, t) in enumerate(zip(
-                fw.tolist(), bw.tolist(), wu.tolist(), halo.tolist(),
-                ge.tolist(), mem.tolist(), cp.tolist(), cc.tolist(),
-                tt.tolist())):
-            if not ok[i]:
-                rows.append(tables[i])
-                continue
-            lv = int(L_int[i])
-            rows.append((
-                PhaseBreakdown._build(f, b, w, g, halo=h, totals=(o, v, t)),
-                m,
-                () if lv == 1 else (f"multi-leader allreduce: L={lv}",),
-                self._ge_algos([
-                    (rd_lab[i], rd_sec[i]),
-                    (bc_lab[i], bc_sec[i]),
-                    (ar_lab[i], ar_sec[i]),
-                ]),
-            ))
-        return rows
-
-    #: Strategy family -> batch handler (unbound; called with ``self``).
-    _BATCH_HANDLERS = {
-        "serial": _batch_serial,
-        "d": _batch_data,
-        "z": _batch_sharded_data,
-        "s": _batch_spatial,
-        "p": _batch_pipeline,
-        "f": _batch_layerwise_family,
-        "c": _batch_layerwise_family,
-        "df": _batch_data_filter,
-        "ds": _batch_data_spatial,
-    }
+_P = attrgetter("p")
+_P1 = attrgetter("p1")
+_P2 = attrgetter("p2")
+_GRID = attrgetter("grid")
 
 
-def _grid_product(grid: Tuple[int, ...]) -> int:
-    out = 1
-    for g in grid:
-        out *= g
-    return out
+def _comp(k: ModelKernel, D, I, p_div, wu_div=1.0):
+    """`_comp`: ``D/p sum(FW), D/p sum(BW), I/wu_div sum(WU)``."""
+    per_pe = D / p_div
+    return per_pe * k.fw_total, per_pe * k.bw_total, I / wu_div * k.wu_total
+
+
+def _memory(xp, batch_act, weight_div=1.0):
+    """`_memory_terms` as one closed form over exact element sums."""
+    k = xp.k
+    return xp.a.gamma * xp.a.delta * (
+        2.0 * batch_act * k.io_elements
+        + 2.0 * k.weight_elements / weight_div
+        + k.bias_elements
+    )
+
+
+def _inter_params(a: AnalyticalModel, p: int, p1: int, phi: float):
+    """Fabric parameters of the gradient exchange between ``p1`` groups,
+    beta scaled by contention ``phi``; a single group exchanges nothing,
+    so its parameters are never resolved."""
+    if p1 <= 1:
+        return HockneyParams(0.0, 0.0)
+    return a.cluster.hockney(p).with_contention(phi)
+
+
+def _serial_form(xp, D):
+    """`AnalyticalModel._serial`."""
+    I = D // xp.B
+    return xp.build(D, *_comp(xp.k, D, I, 1.0), _memory(xp, xp.B))
+
+
+def _data_form(xp, D):
+    """`AnalyticalModel._data`: Eqs. (5)-(7)."""
+    p, B = xp.col(_P), xp.B
+    I = D // B
+    ge = I * xp.coll("ge", "allreduce", p, xp.a._weights_bytes())
+    return xp.build(D, *_comp(xp.k, D, I, p), _memory(xp, B / p), ge=ge)
+
+
+def _sharded_data_form(xp, D):
+    """`AnalyticalModel._sharded_data`: ZeRO-style data parallelism."""
+    a, k = xp.a, xp.k
+    p, B = xp.col(_P), xp.B
+    I = D // B
+    wbytes = a._weights_bytes()
+    ge = I * (
+        xp.coll("ge", "reduce_scatter", p, wbytes)
+        + 2 * xp.coll("ge", "allgather", p, wbytes / p)
+    )
+    mem = a.gamma * a.delta * (
+        2.0 * (B / p) * k.io_elements + k.weight2_plus_bias / p)
+    return xp.build(D, *_comp(k, D, I, p, p), mem,
+                    ("weights/optimizer state sharded 1/p",), ge=ge)
+
+
+def _spatial_form(xp, D):
+    """`AnalyticalModel._spatial`: Eqs. (8)-(10)."""
+    a, k = xp.a, xp.k
+    p, B = xp.col(_P), xp.B
+    I = D // B
+    ge = I * xp.coll("ge", "allreduce", p, a._weights_bytes())
+    hp = xp.hockney(
+        lambda v: a.cluster.hockney(v, transport=a.halo_transport), p)
+    st = xp.each(k.spatial, xp.objs(_GRID))
+    pairs, helems, split, rest = xp.fields(
+        st, "halo_pairs", "halo_elements", "split_io", "rest_io")
+    halo = xp.where(pairs == 0, 0.0, I * (
+        4.0 * hp.alpha * pairs + 2.0 * B * helems * a.delta * hp.beta))
+    mem = a.gamma * a.delta * (
+        2.0 * B * (split / p + rest)
+        + 2.0 * k.weight_elements + k.bias_elements
+    )
+    return xp.build(D, *_comp(k, D, I, p), mem,
+                    (f"halo over {a.halo_transport} transport",),
+                    ge=ge, halo=halo)
+
+
+def _pipeline_form(xp, D):
+    """`AnalyticalModel._pipeline`: Eqs. (12)-(14), GPipe schedule."""
+    a, k = xp.a, xp.k
+    p = xp.col(attrgetter("stages"))
+    S = xp.col(attrgetter("segments"))
+    ckpt = xp.col(lambda s: getattr(s, "checkpoint", False))
+    B = xp.B
+    I = D // B
+    tables = xp.each(k.pipeline, p)
+    max_fw, max_bw, max_wu, boundary = xp.fields(
+        tables, "max_fw", "max_bw", "max_wu", "max_boundary")
+    bubble = (p + S - 1) / S
+    fw = D * bubble * max_fw * xp.where(ckpt, 2.0, 1.0)
+    bw = D * bubble * max_bw
+    wu = I * max_wu
+    # p2p is monotone in the message size, so the heaviest boundary
+    # activation decides the per-stage cost.  A p-stage partition has
+    # exactly p groups, so p > 1 is "there is a boundary".
+    hp = xp.hockney(a.cluster.hockney, p)
+    per_stage = hp.alpha + (B / S * boundary * a.delta) * hp.beta
+    p2p = xp.where(p > 1, 2 * D * (p + S - 2) / B * per_stage, 0.0)
+    # Per stage: gamma delta (B' io2 + wb), where checkpointing keeps one
+    # micro-batch inside the stage (B' = B/S) plus the stored boundary
+    # activations of all S micro-batches.
+    gd = a.gamma * a.delta
+    b_act = xp.where(ckpt, B / S, B)
+    b_last = xp.where(ckpt, gd * 2.0 * B, 0.0)
+    mem = xp.rowmax(
+        lambda io2, wb, last: gd * (b_act * io2 + wb) + b_last * last,
+        xp.each(lambda v: k.pipeline(v).mem_groups, p),
+    )
+
+    def notes(v, c):
+        balanced = f"stages balanced by FLOPs: {list(k.pipeline(v).sizes)}"
+        return (balanced,) + (
+            ("gradient checkpointing at stage boundaries (+1 forward)",)
+            if c else ())
+
+    return xp.build(D, fw, bw, wu, mem, xp.each(notes, p, ckpt), p2p=p2p)
+
+
+def _layerwise_form(xp, D):
+    """`AnalyticalModel._filter` / `_channel`: Eqs. (15)-(19), the same
+    totals with reversed collective patterns."""
+    p, B = xp.col(_P), xp.B
+    I = D // B
+    fb = I * xp.layerwise(p, p, B)
+    return xp.build(D, *_comp(xp.k, D, I, p, p), _memory(xp, B, p), fb=fb)
+
+
+def _data_filter_form(xp, D):
+    """`AnalyticalModel._data_filter`: Eqs. (20)-(22)."""
+    a, k = xp.a, xp.k
+    p, p1, p2, B = xp.col(_P), xp.col(_P1), xp.col(_P2), xp.B
+    I = D // B
+    intra = xp.hockney(a.cluster.hockney_intra, p2)
+    fb = xp.layerwise(p2, p, B, intra, "intra-node")
+    # p2 disjoint segmented Allreduces over the p1 groups share the
+    # node's NIC rails: contention penalty phi.
+    inter = xp.hockney(lambda pv, p1v, p2v: _inter_params(
+        a, pv, p1v, data_filter_phi(a.cluster, p2v) if a.contention else 1.0,
+    ), p, p1, p2)
+    ge = xp.coll("ge", "allreduce", p1, a._weights_bytes() / p2, inter,
+                 "inter-node")
+    notes = xp.each(
+        lambda p1v, p2v: (
+            (f"GE beta scaled by phi={data_filter_phi(a.cluster, p2v):.2f}",)
+            if a.contention and p1v > 1 else ()),
+        p1, p2,
+    )
+    return xp.build(D, *_comp(k, D, I, p, p2), _memory(xp, B / p1, p2),
+                    notes, ge=I * ge, fb=I * fb)
+
+
+def _data_spatial_form(xp, D):
+    """`AnalyticalModel._data_spatial`: hierarchical gradient exchange."""
+    a, k = xp.a, xp.k
+    p, p1, p2, B = xp.col(_P), xp.col(_P1), xp.col(_P2), xp.B
+    L = xp.col(lambda s: getattr(s, "leaders", 1))
+    I = D // B
+    hh = xp.hockney(
+        lambda v: a.cluster.hockney_intra(
+            v, transport=a.halo_transport, floor=2), p2)
+    st = xp.each(k.spatial, xp.objs(_GRID))
+    pairs, helems, split, rest = xp.fields(
+        st, "halo_pairs", "halo_elements", "split_io", "rest_io")
+    gb = xp.maximum(B // p1, 1)  # int(B / p1) or 1
+    halo = xp.where((p2 > 1) & (pairs > 0), I * (
+        4.0 * hh.alpha * pairs + 2.0 * gb * helems * a.delta * hh.beta), 0.0)
+    wl = a._weights_bytes() / L
+    nvl = xp.hockney(lambda v: a.cluster.hockney_intra(v, floor=2), p2)
+    ge = (
+        xp.coll("ge", "reduce", p2, wl, nvl, "intra-node")
+        + xp.coll("ge", "broadcast", p2, wl, nvl, "intra-node")
+    )
+    nics = a.cluster.node.nics
+    inter = xp.hockney(lambda pv, p1v, lv: _inter_params(
+        a, pv, p1v, lv / nics if a.contention and lv > nics else 1.0,
+    ), p, p1, L)
+    ge = ge + xp.coll("ge", "allreduce", p1, wl, inter, "inter-node")
+    mem = a.gamma * a.delta * (
+        2.0 * (B / p1) * (split / p2 + rest)
+        + 2.0 * k.weight_elements + k.bias_elements
+    )
+    notes = xp.each(
+        lambda lv: () if lv == 1 else (f"multi-leader allreduce: L={lv}",), L)
+    return xp.build(D, *_comp(k, D, I, p), mem, notes, ge=I * ge, halo=halo)
+
+
+#: Strategy family -> (reference walk, closed form).
+_FAMILIES = {
+    "serial": (AnalyticalModel._serial, _serial_form),
+    "d": (AnalyticalModel._data, _data_form),
+    "z": (AnalyticalModel._sharded_data, _sharded_data_form),
+    "s": (AnalyticalModel._spatial, _spatial_form),
+    "p": (AnalyticalModel._pipeline, _pipeline_form),
+    "f": (AnalyticalModel._filter, _layerwise_form),
+    "c": (AnalyticalModel._channel, _layerwise_form),
+    "df": (AnalyticalModel._data_filter, _data_filter_form),
+    "ds": (AnalyticalModel._data_spatial, _data_spatial_form),
+}

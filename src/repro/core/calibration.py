@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .. import npcompat
+import numpy as np
+
 from ..network.hockney import HockneyParams
 from ..network.topology import ClusterSpec
 from .graph import ModelGraph
@@ -63,7 +64,6 @@ def fit_hockney(
     recovers both parameters.  ``pattern`` selects the step-count model
     ("allreduce", "allgather", or "p2p").
     """
-    np = npcompat.np
     sizes = [float(m) for m in message_sizes]
     t = [float(x) for x in times]
     if len(sizes) != len(t) or len(sizes) < 2:
@@ -83,19 +83,7 @@ def fit_hockney(
         raise ValueError(f"unknown pattern {pattern!r}")
 
     # t = step_count * alpha + step_count * bytes_per_step * beta
-    if np is not None:
-        slope, intercept = np.polyfit(bytes_per_step, t, 1)
-    else:
-        # numpy-free ordinary least squares (same line, up to fp noise)
-        n = len(t)
-        mx = sum(bytes_per_step) / n
-        my = sum(t) / n
-        var = sum((x - mx) ** 2 for x in bytes_per_step)
-        if var == 0.0:
-            raise ValueError("need at least two distinct message sizes")
-        slope = sum(
-            (x - mx) * (y - my) for x, y in zip(bytes_per_step, t)) / var
-        intercept = my - slope * mx
+    slope, intercept = np.polyfit(bytes_per_step, t, 1)
     alpha = max(0.0, float(intercept) / step_count)
     beta = max(0.0, float(slope) / step_count)
     residual = math.sqrt(sum(
@@ -125,11 +113,8 @@ def measure_allreduce_curve(
 
     sim = CollectiveSimulator(cluster, congestion)
     gpus = list(range(p))
-    np = npcompat.np
     sizes = [float(m) for m in message_sizes]
     times = [sim.ring_allreduce(gpus, m, transport=transport) for m in sizes]
-    if np is None:  # plain lists; fit_hockney accepts either
-        return sizes, times
     return np.asarray(sizes), np.asarray(times)
 
 

@@ -192,6 +192,17 @@ class ModelGraph:
             if l.spatially_parallelizable
         )
 
+    @cached_property
+    def _spatial_dim_minima(self) -> Tuple[int, ...]:
+        """Per input dimension, the smallest extent over spatially-
+        parallelizable layers — the largest grid entry spatial
+        parallelism can use there."""
+        split = [l for l in self.layers if l.spatially_parallelizable]
+        return tuple(
+            min(l.input.spatial[dim] for l in split)
+            for dim in range(self.input_spec.ndim)
+        )
+
     def __getstate__(self):
         """Pickle without the (possibly shared) partition memo."""
         state = self.__dict__.copy()

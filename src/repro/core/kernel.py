@@ -46,7 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
-from .. import npcompat
+import numpy as np
+
 from .graph import ModelGraph
 from .profiles import ComputeProfile
 
@@ -55,23 +56,15 @@ __all__ = ["KernelArrays", "ModelKernel", "PipelineTable", "SpatialTable"]
 
 @dataclass(frozen=True)
 class KernelArrays:
-    """The kernel invariants re-exported as float64 ndarrays.
+    """The layer-wise collective table as float64 ndarrays.
 
-    Feeds the structure-of-arrays projection path
+    Feeds the column mode of the closed forms
     (:meth:`~repro.core.analytical.AnalyticalModel.project_batch`): the
-    prefix sums let span reductions broadcast, and the layer-wise
-    collective table drives the batched Allgather+Allreduce leg as one
-    ``(candidates, sizes)`` matrix instead of a per-layer Python loop.
-    All values are exact in float64 (element counts and FLOP totals sit
-    far below 2**53), so array expressions reproduce the scalar closed
-    forms bit-for-bit up to summation order.
+    batched Allgather+Allreduce leg runs as one ``(candidates, sizes)``
+    matrix instead of a per-layer Python loop.  Activation sizes sit far
+    below 2**53, so they are exact in float64.
     """
 
-    fw_prefix: Any
-    bw_prefix: Any
-    wu_prefix: Any
-    io_prefix: Any
-    wb_prefix: Any
     #: Distinct layer-wise activation sizes ``|y|`` (first-appearance order).
     layerwise_y: Any
     #: Multiplicity of each distinct activation size.
@@ -182,23 +175,15 @@ class ModelKernel:
         self.check_memo: Dict[Tuple, object] = {}
 
     # ---------------------------------------------------------------- arrays
-    def arrays(self) -> Optional[KernelArrays]:
-        """The invariants as ndarrays, or ``None`` without numpy.
+    def arrays(self) -> KernelArrays:
+        """The layer-wise table as ndarrays.
 
         Built lazily on first use and cached; safe under the thread pool
         (two racing builders produce identical immutable tables).
         """
-        np = npcompat.np
-        if np is None:
-            return None
         tables = self._arrays
         if tables is None:
             tables = KernelArrays(
-                fw_prefix=np.asarray(self.fw_prefix, dtype=np.float64),
-                bw_prefix=np.asarray(self.bw_prefix, dtype=np.float64),
-                wu_prefix=np.asarray(self.wu_prefix, dtype=np.float64),
-                io_prefix=np.asarray(self.io_prefix, dtype=np.float64),
-                wb_prefix=np.asarray(self.wb_prefix, dtype=np.float64),
                 layerwise_y=np.asarray(
                     [y for y, _ in self.layerwise_sizes], dtype=np.float64
                 ),

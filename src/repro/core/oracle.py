@@ -203,13 +203,12 @@ class ParaDL:
     ):
         """Project many ``(strategy, batch)`` candidates at once.
 
-        The structure-of-arrays fast path: candidates are grouped by
-        strategy family and evaluated as numpy array expressions (see
+        Candidates are grouped by strategy family and each family's
+        closed form runs once over numpy columns (see
         :meth:`AnalyticalModel.project_batch`).  Returns one entry per
         input — a :class:`Projection`, or the ``StrategyError`` /
         ``ValueError`` that candidate would have raised under
-        :meth:`project`.  Results are identical to the scalar path;
-        without numpy this *is* the scalar path, looped.
+        :meth:`project`, with the same values.
         """
         return self.analytical.project_batch(
             strategies, batches, dataset.num_samples, comms=comms

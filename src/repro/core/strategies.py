@@ -184,12 +184,8 @@ class SpatialParallel(Strategy):
                 f"spatial parallelism limited to p <= min(W*H) = "
                 f"{model.min_spatial()}, got {self.p}"
             )
-        for dim, g in enumerate(self.grid):
-            limit = min(
-                l.input.spatial[dim]
-                for l in model.layers
-                if l.spatially_parallelizable
-            )
+        for dim, (g, limit) in enumerate(
+                zip(self.grid, model._spatial_dim_minima)):
             if g > limit:
                 raise StrategyError(
                     f"grid[{dim}]={g} exceeds the smallest extent {limit}"

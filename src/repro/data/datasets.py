@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .. import npcompat
+import numpy as np
 
 from ..core.tensors import TensorSpec
 
@@ -106,12 +106,8 @@ def synthetic_batch(
     """Generate a random batch ``[batch, channels, *spatial]``.
 
     Values are drawn from N(0, 1); deterministic given ``seed``.
-    ``dtype`` defaults to ``numpy.float32``.  Requires numpy (a soft
-    dependency elsewhere — dataset *specs* work without it).
+    ``dtype`` defaults to ``numpy.float32``.
     """
-    np = npcompat.np
-    if np is None:
-        raise RuntimeError("synthetic_batch requires numpy")
     if batch < 1:
         raise ValueError("batch must be >= 1")
     if dtype is None:

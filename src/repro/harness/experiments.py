@@ -25,9 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import npcompat
-
-np = npcompat.np  # soft: only fig6 (simulator-backed) truly needs it
+import numpy as np
 
 from ..core.analytical import AnalyticalModel, PhaseBreakdown, Projection
 from ..core.calibration import profile_model

@@ -19,21 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import npcompat
+import numpy as np
 
 __all__ = ["CongestionModel"]
-
-
-def _require_np():
-    """numpy is a soft dependency repo-wide (:mod:`repro.npcompat`); the
-    stochastic congestion model is one of the few true consumers — the
-    analytical oracle never samples it."""
-    np = npcompat.np
-    if np is None:
-        raise RuntimeError(
-            "CongestionModel requires numpy; the analytical oracle and "
-            "search run without it, the stochastic simulator does not")
-    return np
 
 
 @dataclass
@@ -70,11 +58,11 @@ class CongestionModel:
             raise ValueError("outlier_rate must be in [0, 1]")
         if self.max_slowdown < 1.0:
             raise ValueError("max_slowdown must be >= 1")
-        self._rng = _require_np().random.default_rng(self.seed)
+        self._rng = np.random.default_rng(self.seed)
 
     def reset(self, seed: int | None = None) -> None:
         """Re-seed the internal RNG (fresh, reproducible sample path)."""
-        self._rng = _require_np().random.default_rng(
+        self._rng = np.random.default_rng(
             self.seed if seed is None else seed)
 
     def effective_rate(self, span_fraction: float = 1.0) -> float:
@@ -98,7 +86,6 @@ class CongestionModel:
 
     def sample_many(self, n: int, span_fraction: float = 1.0) -> "np.ndarray":
         """Vectorized draw of ``n`` slowdowns."""
-        np = _require_np()
         if n < 0:
             raise ValueError("n must be >= 0")
         rate = self.effective_rate(span_fraction)

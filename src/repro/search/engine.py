@@ -43,7 +43,6 @@ from typing import (
     Tuple,
 )
 
-from .. import npcompat
 from ..core.analytical import Projection
 from ..core.strategies import Strategy, StrategyError
 from ..data.datasets import DatasetSpec
@@ -255,12 +254,12 @@ class SearchEngine:
     vectorize:
         Routing policy for the structure-of-arrays projection path
         (``oracle.project_batch``): ``None`` (default) uses it whenever
-        numpy is importable, the oracle supports it, and a chunk has
+        the oracle supports it and a chunk has
         enough cache-miss survivors to amortize array assembly;
         ``False`` forces the scalar per-candidate path; ``True`` routes
         even tiny batches through the array path.  Results are identical
-        either way — the array path mirrors the scalar fast path
-        expression for expression (``docs/performance.md``).
+        either way — both evaluate the same closed form per strategy
+        family (``docs/performance.md``).
     """
 
     def __init__(
@@ -471,11 +470,9 @@ class SearchEngine:
 
     def _can_vectorize(self, n_pending: int) -> bool:
         """Route ``n_pending`` cache-miss survivors through the array
-        path?  Requires numpy, an oracle exposing ``project_batch``, and
-        (unless forced) enough candidates to amortize array assembly."""
+        path?  Requires an oracle exposing ``project_batch`` and (unless
+        forced) enough candidates to amortize array assembly."""
         if self.vectorize is False or n_pending < 1:
-            return False
-        if npcompat.np is None:
             return False
         if not hasattr(self.oracle, "project_batch"):
             return False

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import npcompat
+import numpy as np
 
 __all__ = [
     "OBJECTIVES",
@@ -74,8 +74,7 @@ def _dominated_mask(vectors: List[Tuple[float, ...]]) -> List[bool]:
     surviving set is identical to the scalar scan.
     """
     n = len(vectors)
-    np = npcompat.np
-    if np is None or n < 32:
+    if n < 32:
         return [
             any(dominates(other, v) for other in vectors) for v in vectors
         ]

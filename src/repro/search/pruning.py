@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from ..core.caching import cached_property
 from typing import Callable, List, Optional, Tuple
 
-from .. import npcompat
+import numpy as np
+
 from ..core.analytical import DEFAULT_DELTA, DEFAULT_GAMMA
 from ..core.graph import ModelGraph
 from ..network.topology import ClusterSpec
@@ -195,17 +196,16 @@ def apply_pruners_batch(
 ) -> List[Optional[str]]:
     """:func:`apply_pruners` over many candidates at once.
 
-    With numpy and the default pruner stack, boolean masks decide *which*
+    With the default pruner stack, boolean masks decide *which*
     candidates are rejected (the comparisons and the memory lower bound
     are mirrored as array expressions); the reason strings themselves are
     then regenerated by the scalar pruners on the flagged minority, so
     text and first-rejection-wins ordering are identical by construction.
-    Custom pruner stacks (or no numpy) fall back to the scalar loop.
+    Custom pruner stacks (and batches under eight) run the scalar loop.
     """
     if pruners is not None and tuple(pruners) != DEFAULT_PRUNERS:
         return [apply_pruners(c, ctx, pruners) for c in cands]
-    np = npcompat.np
-    if np is None or len(cands) < 8:
+    if len(cands) < 8:
         return [apply_pruners(c, ctx) for c in cands]
     n = len(cands)
     p = np.fromiter((c.p for c in cands), dtype=np.int64, count=n)

@@ -23,13 +23,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import npcompat
-from ..core.analytical import AnalyticalModel, PhaseBreakdown
+import numpy as np
 
-# The stochastic simulator is a true numpy consumer (numpy is a soft
-# dependency repo-wide); importing this module stays safe without it,
-# constructing a TrainingSimulator does not.
-np = npcompat.np
+from ..core.analytical import AnalyticalModel, PhaseBreakdown
 from ..core.graph import ModelGraph
 from ..core.strategies import (
     ChannelParallel,
@@ -159,8 +155,6 @@ class TrainingSimulator:
         self.collsim = CollectiveSimulator(
             cluster, congestion=None, comm=self.options.comm
         )
-        if np is None:
-            raise RuntimeError("TrainingSimulator requires numpy")
         self._rng = np.random.default_rng(self.options.seed)
 
     # ------------------------------------------------------------------ api

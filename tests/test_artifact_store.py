@@ -5,8 +5,7 @@ dataset input, ``samples_per_pe`` and ``optimizer`` must share one
 graph, one profile and one compiled kernel; anything that changes the
 build must get its own entry.  The store is bounded (LRU), builds each
 entry once under races, and never changes an answer: envelopes and
-sweep results are byte-identical warm or cold.  Runs without numpy
-(scalar fallback) as well.
+sweep results are byte-identical warm or cold.
 """
 
 import json

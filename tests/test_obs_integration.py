@@ -9,7 +9,6 @@ import json
 
 import pytest
 
-from repro import npcompat
 from repro.core.calibration import profile_model
 from repro.core.oracle import ParaDL
 from repro.data.datasets import DatasetSpec
@@ -77,14 +76,11 @@ class TestEngineTracing:
         names = {s.name for s in tracer.spans}
         expected = {
             "search", "search.expansion", "search.evaluate_chunk",
-            "search.ranking", "search.persistence",
+            "search.ranking", "search.persistence", "search.evaluate_batch",
         }
-        if npcompat.have_numpy():
-            expected.add("search.evaluate_batch")
-            batch = next(
-                s for s in tracer.spans
-                if s.name == "search.evaluate_batch")
-            assert batch.attrs["candidates"] > 0
+        batch = next(
+            s for s in tracer.spans if s.name == "search.evaluate_batch")
+        assert batch.attrs["candidates"] > 0
         assert names == expected
         root = next(s for s in tracer.spans if s.name == "search")
         assert root.parent_id is None
@@ -107,10 +103,7 @@ class TestEngineTracing:
         assert snap["search.feasible"]["value"] == report.stats["feasible"]
         assert snap["search.epoch_s"]["count"] == report.stats["feasible"]
         assert "cache.entries" in snap
-        if npcompat.have_numpy():
-            assert snap["search.vectorized_candidates"]["value"] > 0
-        else:
-            assert snap["search.scalar_fallback_candidates"]["value"] > 0
+        assert snap["search.vectorized_candidates"]["value"] > 0
         assert any(name.startswith("comm.selected.") for name in snap)
         stage = snap["search.stage.total_s"]
         assert stage["count"] == 1.0

@@ -57,6 +57,27 @@ class TestSpatialParallel:
         with pytest.raises(StrategyError):
             SpatialParallel((1, 16)).check(resnet50_model, 64)
 
+    @pytest.mark.parametrize("name", ["toy_cnn", "toy_cnn3d"])
+    def test_per_dimension_errors_name_dim_and_limit(self, name):
+        """Each ``grid[dim]`` error names its dimension and the smallest
+        extent of that dimension over the spatially-parallelizable layers
+        (the per-layer scan, recomputed here)."""
+        from repro.models import build_model
+
+        model = build_model(name)
+        ndim = model.input_spec.ndim
+        for dim in range(ndim):
+            limit = min(l.input.spatial[dim] for l in model.layers
+                        if l.spatially_parallelizable)
+            grid = [1] * ndim
+            grid[dim] = limit + 1
+            with pytest.raises(StrategyError) as exc:
+                SpatialParallel(tuple(grid)).check(model, 64)
+            assert str(exc.value) == (
+                f"grid[{dim}]={limit + 1} exceeds the smallest extent {limit}")
+            grid[dim] = limit
+            SpatialParallel(tuple(grid)).check(model, 64)
+
 
 class TestPipeline:
     def test_limits(self, resnet50_model):
