@@ -10,7 +10,7 @@ gradient exchange change if the wrong algorithm were forced.
 import numpy as np
 
 from repro.collectives import (
-    allreduce_time,
+    CommModel,
     ring_allreduce_time,
     tree_allreduce_time,
 )
@@ -22,13 +22,14 @@ from _util import write_report
 
 def _sweep():
     cluster = abci_like_cluster(1024)
+    nccl = CommModel(cluster, "nccl-like")
     rows = []
     for p in (8, 64, 512):
         params = cluster.hockney(p)
         for nbytes in (16e3, 1e6, 100e6):
             ring = ring_allreduce_time(p, nbytes, params)
             tree = tree_allreduce_time(p, nbytes, params)
-            auto = allreduce_time(p, nbytes, params)
+            auto = nccl.time("allreduce", p, nbytes, params=params)
             rows.append((p, nbytes, ring, tree, auto))
     return rows
 

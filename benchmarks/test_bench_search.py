@@ -23,6 +23,11 @@ from repro.data.datasets import IMAGENET
 from repro.models import build_model
 from repro.network.topology import abci_like_cluster
 from repro.search import SearchEngine, SearchSpace
+from repro.search.pareto import (
+    DEFAULT_OBJECTIVES,
+    pareto_frontier,
+    scalarized_best,
+)
 
 from _util import write_report
 
@@ -51,6 +56,23 @@ def _timed_search(engine, space):
     return report, time.perf_counter() - t0
 
 
+def _assert_one_at_a_time_matches(oracle, space, report):
+    """Each candidate evaluated alone (``engine.evaluate``: one
+    ``oracle.project`` call, the route a chunk under the engine's
+    vector-batch threshold takes) reproduces the report: the same
+    evaluations, so the same count and the same best candidate."""
+    engine = SearchEngine(oracle, IMAGENET, workers=1)
+    candidates = sorted(space.candidates(intra=oracle.cluster.node.gpus),
+                        key=lambda c: c.key)
+    evaluations = [engine.evaluate(c) for c in candidates]
+    assert len(evaluations) == report.stats["candidates"]
+    assert [(e.candidate, e.projection, e.reason) for e in evaluations] == [
+        (e.candidate, e.projection, e.reason) for e in report.evaluations]
+    feasible = [e for e in evaluations if e.feasible]
+    best = scalarized_best(pareto_frontier(feasible, DEFAULT_OBJECTIVES))
+    assert best.candidate == report.best.candidate
+
+
 #: Repetitions per measurement; best-of-N guards the speedup ratio against
 #: scheduler jitter when the whole suite runs in parallel with this test.
 REPEATS = 5
@@ -75,17 +97,6 @@ def test_bench_search_cold_vs_warm(tmp_path):
         warm_report, elapsed = _timed_search(warm_engine, space)
         warm_s = min(warm_s, elapsed)
 
-    # Same cold measurement with the array path disabled: the scalar
-    # fallback's throughput is tracked as its own metric so a regression
-    # in either lane is visible independently.
-    scalar_s = float("inf")
-    for i in range(REPEATS):
-        spath = str(tmp_path / f"scalar-cache-{i}.json")
-        scalar_engine = SearchEngine(
-            oracle, IMAGENET, cache=spath, workers=1, vectorize=False)
-        scalar_report, elapsed = _timed_search(scalar_engine, space)
-        scalar_s = min(scalar_s, elapsed)
-
     n = cold_report.stats["candidates"]
     assert n == warm_report.stats["candidates"]
     # A warm cache answers everything — no projection is ever recomputed.
@@ -108,10 +119,8 @@ def test_bench_search_cold_vs_warm(tmp_path):
         f"(cold {cold_s * 1e3:.1f} ms, warm {warm_s * 1e3:.1f} ms)"
     )
 
-    # The scalar fallback finds the same answer, just slower.
-    assert scalar_report.best.candidate == cold_report.best.candidate
-    assert scalar_report.stats["candidates"] == n
-    vec_speedup = scalar_s / cold_s
+    # Projected one candidate at a time, the space finds the same answer.
+    _assert_one_at_a_time_matches(oracle, space, cold_report)
 
     # Search must match or beat plain suggest at the same budget.
     feasible = [s for s in oracle.suggest(PES, IMAGENET) if s.feasible]
@@ -121,9 +130,7 @@ def test_bench_search_cold_vs_warm(tmp_path):
     # Exhaustive expansion is where the array path earns its keep: the
     # sampled space above is small enough that per-run floors (cache
     # write, ranking, expansion) dominate, while the full divisor sweep
-    # projects ~13x more candidates and amortizes them away.  Both lanes
-    # are measured so the vectorized-vs-scalar ratio is tracked at the
-    # scale the exhaustive flag actually unlocks.
+    # projects ~13x more candidates and amortizes them away.
     exh_space = _space(exhaustive=True)
     exh_s = float("inf")
     for i in range(REPEATS):
@@ -131,63 +138,39 @@ def test_bench_search_cold_vs_warm(tmp_path):
         exh_engine = SearchEngine(oracle, IMAGENET, cache=epath, workers=1)
         exh_report, elapsed = _timed_search(exh_engine, exh_space)
         exh_s = min(exh_s, elapsed)
-    exh_scalar_s = float("inf")
-    for i in range(REPEATS):
-        epath = str(tmp_path / f"exh-scalar-cache-{i}.json")
-        exh_engine = SearchEngine(
-            oracle, IMAGENET, cache=epath, workers=1, vectorize=False)
-        exh_scalar_report, elapsed = _timed_search(exh_engine, exh_space)
-        exh_scalar_s = min(exh_scalar_s, elapsed)
     en = exh_report.stats["candidates"]
     assert en > n
-    assert exh_scalar_report.stats["candidates"] == en
-    assert exh_scalar_report.best.candidate == exh_report.best.candidate
+    _assert_one_at_a_time_matches(oracle, exh_space, exh_report)
     # The exhaustive superset can only match or improve the sampled best.
     assert exh_report.best.epoch_time <= cold_report.best.epoch_time + 1e-9
-    exh_speedup = exh_scalar_s / exh_s
 
     write_report("search", [
         f"Search throughput — resnet50, budgets {power_of_two_budgets(PES)}"
         f" ({n} candidates, {cold_report.stats['pruned']} pruned)",
-        f"cold:   {cold_s * 1e3:8.1f} ms   {n / cold_s:8.0f} candidates/s"
-        f"   (vectorized)",
-        f"scalar: {scalar_s * 1e3:8.1f} ms   {n / scalar_s:8.0f}"
-        f" candidates/s   (vectorize=False)",
+        f"cold:   {cold_s * 1e3:8.1f} ms   {n / cold_s:8.0f} candidates/s",
         f"warm:   {warm_s * 1e3:8.1f} ms   {n / warm_s:8.0f} candidates/s",
-        f"speedup: warm {speedup:.1f}x, vectorized {vec_speedup:.1f}x"
-        f" over scalar",
+        f"speedup: warm {speedup:.1f}x",
         f"frontier: {len(cold_report.frontier)} points; "
         f"best {cold_report.best.describe()} "
         f"epoch={cold_report.best.epoch_time:.1f}s",
         f"suggest best epoch={sug_best:.1f}s "
         f"(search gain {(1 - cold_report.best.epoch_time / sug_best):.2%})",
         f"exhaustive ({en} candidates):",
-        f"cold:   {exh_s * 1e3:8.1f} ms   {en / exh_s:8.0f} candidates/s"
-        f"   (vectorized)",
-        f"scalar: {exh_scalar_s * 1e3:8.1f} ms   {en / exh_scalar_s:8.0f}"
-        f" candidates/s   (vectorize=False)",
-        f"speedup: vectorized {exh_speedup:.1f}x over scalar",
+        f"cold:   {exh_s * 1e3:8.1f} ms   {en / exh_s:8.0f} candidates/s",
     ], metrics={
         "candidates": n,
         "pruned": cold_report.stats["pruned"],
         "cold_wall_ms": cold_s * 1e3,
-        "cold_scalar_wall_ms": scalar_s * 1e3,
         "warm_wall_ms": warm_s * 1e3,
         "candidates_per_s_cold": n / cold_s,
-        "candidates_per_s_cold_scalar": n / scalar_s,
         "candidates_per_s_warm": n / warm_s,
         "warm_speedup": speedup,
-        "vectorized_speedup": vec_speedup,
         "exhaustive_candidates": en,
         "exhaustive_cold_wall_ms": exh_s * 1e3,
-        "exhaustive_scalar_wall_ms": exh_scalar_s * 1e3,
         "candidates_per_s_exhaustive": en / exh_s,
-        "candidates_per_s_exhaustive_scalar": en / exh_scalar_s,
-        "exhaustive_vectorized_speedup": exh_speedup,
     }, higher_is_better=(
-        "candidates_per_s_cold", "candidates_per_s_cold_scalar",
-        "candidates_per_s_warm", "candidates_per_s_exhaustive",
-        "candidates_per_s_exhaustive_scalar",
+        "candidates_per_s_cold", "candidates_per_s_warm",
+        "candidates_per_s_exhaustive",
     ))
 
 

@@ -24,7 +24,6 @@ from .algorithms import (
     broadcast_time,
     reduce_time,
     p2p_time,
-    allreduce_time,
     CollectiveCost,
 )
 from .registry import (
@@ -53,7 +52,6 @@ __all__ = [
     "broadcast_time",
     "reduce_time",
     "p2p_time",
-    "allreduce_time",
     "CollectiveCost",
     "COLLECTIVES",
     "CollectiveAlgorithm",

@@ -14,7 +14,10 @@ Formulas (Section 4.3 of the paper), for ``p`` PEs and a per-PE buffer of
 * peer-to-peer:        ``alpha + m beta``.
 
 All functions return seconds and degrade gracefully for ``p == 1``
-(collectives over a singleton communicator are free).
+(collectives over a singleton communicator are free).  Each is a thin,
+input-checked wrapper over one closed form that
+:class:`~repro.collectives.registry.FormulaAlgorithm` and
+:meth:`~repro.collectives.selector.CommModel.time_batch` evaluate too.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "broadcast_time",
     "reduce_time",
     "p2p_time",
-    "allreduce_time",
 ]
 
 #: Message-size threshold below which NCCL-style implementations switch from
@@ -66,20 +68,69 @@ def _check(p: int, nbytes: float) -> None:
         raise ValueError(f"message size must be >= 0, got {nbytes}")
 
 
+# ------------------------------------------------------------- closed forms
+# One function per algorithm, ``form(p, m, alpha, beta, log2p,
+# ceil_log2p) -> seconds``.  The same body prices Python numbers (one
+# call) and broadcastable float64 arrays (``CommModel.time_batch``).
+# Round counts come precomputed from ``math.log2``/``math.ceil`` —
+# never ``numpy.log2``, which can land on the wrong side of an integer
+# at a power of two and flip a whole binomial round.  Forms do not
+# vanish at a singleton communicator on their own: callers treat
+# ``p <= 1`` as free.
+
+
+def _ring_allreduce_form(p, m, alpha, beta, log2p, ceil_log2p):
+    steps = 2.0 * (p - 1.0)
+    return steps * alpha + steps * (m / p) * beta
+
+
+def _ring_allgather_form(p, m, alpha, beta, log2p, ceil_log2p):
+    steps = p - 1.0
+    return steps * alpha + steps * m * beta
+
+
+def _ring_reduce_scatter_form(p, m, alpha, beta, log2p, ceil_log2p):
+    steps = p - 1.0
+    return steps * alpha + steps * (m / p) * beta
+
+
+def _tree_allreduce_form(p, m, alpha, beta, log2p, ceil_log2p, chunks=4):
+    steps = 2.0 * (log2p + chunks)
+    return steps * alpha + steps * (m / (2.0 * chunks)) * beta
+
+
+def _binomial_tree_form(p, m, alpha, beta, log2p, ceil_log2p):
+    return ceil_log2p * (alpha + m * beta)
+
+
+def _priced(form, p, nbytes, alpha, beta, **kw) -> float:
+    """``form`` for one call (``p >= 2``), round counts from ``math``."""
+    log2p = math.log2(p)
+    return form(p, nbytes, alpha, beta, log2p, math.ceil(log2p), **kw)
+
+
+def _one_call(form, p, nbytes, params: HockneyParams, detailed=False, **kw):
+    """Seconds of one call (free for ``p <= 1``), or the latency/bandwidth
+    split when ``detailed``: the latency term is the form priced with
+    ``beta = 0`` and the bandwidth term with ``alpha = 0`` (each adds the
+    other term's exact zero, so ``latency_s + bandwidth_s`` is the
+    total)."""
+    a, b = params.alpha, params.beta
+    if p <= 1:
+        return CollectiveCost(0.0, 0.0) if detailed else 0.0
+    if not detailed:
+        return _priced(form, p, nbytes, a, b, **kw)
+    return CollectiveCost(latency_s=_priced(form, p, nbytes, a, 0.0, **kw),
+                          bandwidth_s=_priced(form, p, nbytes, 0.0, b, **kw))
+
+
+# ------------------------------------------------------------ public costs
 def ring_allreduce_time(
     p: int, nbytes: float, params: HockneyParams, detailed: bool = False
 ):
     """Ring Allreduce of an ``nbytes`` buffer replicated on ``p`` PEs."""
     _check(p, nbytes)
-    if p == 1:
-        cost = CollectiveCost(0.0, 0.0)
-    else:
-        steps = 2 * (p - 1)
-        cost = CollectiveCost(
-            latency_s=steps * params.alpha,
-            bandwidth_s=steps * (nbytes / p) * params.beta,
-        )
-    return cost if detailed else cost.total
+    return _one_call(_ring_allreduce_form, p, nbytes, params, detailed)
 
 
 def ring_allgather_time(
@@ -91,15 +142,7 @@ def ring_allgather_time(
     concatenation.
     """
     _check(p, seg_bytes)
-    if p == 1:
-        cost = CollectiveCost(0.0, 0.0)
-    else:
-        steps = p - 1
-        cost = CollectiveCost(
-            latency_s=steps * params.alpha,
-            bandwidth_s=steps * seg_bytes * params.beta,
-        )
-    return cost if detailed else cost.total
+    return _one_call(_ring_allgather_form, p, seg_bytes, params, detailed)
 
 
 def ring_reduce_scatter_time(
@@ -108,15 +151,7 @@ def ring_reduce_scatter_time(
     """Ring ReduceScatter of an ``nbytes`` buffer (the cheaper alternative
     the paper notes for the backward input-gradient exchange, footnote 2)."""
     _check(p, nbytes)
-    if p == 1:
-        cost = CollectiveCost(0.0, 0.0)
-    else:
-        steps = p - 1
-        cost = CollectiveCost(
-            latency_s=steps * params.alpha,
-            bandwidth_s=steps * (nbytes / p) * params.beta,
-        )
-    return cost if detailed else cost.total
+    return _one_call(_ring_reduce_scatter_form, p, nbytes, params, detailed)
 
 
 def tree_allreduce_time(
@@ -131,44 +166,14 @@ def tree_allreduce_time(
     _check(p, nbytes)
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
-    if p == 1:
-        cost = CollectiveCost(0.0, 0.0)
-    else:
-        steps = 2 * (math.log2(p) + chunks)
-        cost = CollectiveCost(
-            latency_s=steps * params.alpha,
-            bandwidth_s=steps * (nbytes / (2 * chunks)) * params.beta,
-        )
-    return cost if detailed else cost.total
-
-
-def allreduce_time(
-    p: int,
-    nbytes: float,
-    params: HockneyParams,
-    threshold: float = TREE_THRESHOLD_BYTES,
-) -> float:
-    """NCCL-style algorithm selection: tree below ``threshold``, ring above.
-
-    Matches the paper's "ring-based algorithm ... for large message sizes and
-    a tree-based algorithm for small message sizes".
-    """
-    if p <= 1:
-        return 0.0
-    if nbytes < threshold:
-        return min(
-            tree_allreduce_time(p, nbytes, params),
-            ring_allreduce_time(p, nbytes, params),
-        )
-    return ring_allreduce_time(p, nbytes, params)
+    return _one_call(_tree_allreduce_form, p, nbytes, params, detailed,
+                     chunks=chunks)
 
 
 def broadcast_time(p: int, nbytes: float, params: HockneyParams) -> float:
     """Binomial-tree broadcast: ``ceil(log2 p) (alpha + m beta)``."""
     _check(p, nbytes)
-    if p == 1:
-        return 0.0
-    return math.ceil(math.log2(p)) * params.p2p(nbytes)
+    return _one_call(_binomial_tree_form, p, nbytes, params)
 
 
 def reduce_time(p: int, nbytes: float, params: HockneyParams) -> float:
@@ -178,9 +183,7 @@ def reduce_time(p: int, nbytes: float, params: HockneyParams) -> float:
     leader GPU inside each node, then Allreduce between leaders).
     """
     _check(p, nbytes)
-    if p == 1:
-        return 0.0
-    return math.ceil(math.log2(p)) * params.p2p(nbytes)
+    return _one_call(_binomial_tree_form, p, nbytes, params)
 
 
 def p2p_time(nbytes: float, params: HockneyParams) -> float:

@@ -20,6 +20,14 @@ any analyzer:
   hierarchical (intra-node reduce + inter-node ring + intra-node
   broadcast) Allreduce that needs a :class:`TopologyHint`.
 
+Every built-in's cost is one closed form ``form(p, m, alpha, beta,
+log2p, ceil_log2p)`` whose body works on Python numbers and on numpy
+arrays alike: :meth:`CollectiveAlgorithm.cost` prices one call with it,
+and :func:`array_formula` hands the same form to
+:meth:`~repro.collectives.selector.CommModel.time_batch` for columns of
+calls.  A third-party algorithm needs only a scalar ``cost``;
+``time_batch`` prices it one element at a time.
+
 Message-size conventions match :mod:`repro.collectives.algorithms`:
 ``nbytes`` is the full per-PE buffer for allreduce / reduce_scatter /
 broadcast / reduce, and the *per-PE contribution* (segment) for
@@ -37,16 +45,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..network.hockney import HockneyParams
 from .algorithms import (
-    broadcast_time,
-    reduce_time,
-    ring_allgather_time,
-    ring_allreduce_time,
-    ring_reduce_scatter_time,
-    tree_allreduce_time,
+    _binomial_tree_form,
+    _check,
+    _one_call,
+    _priced,
+    _ring_allgather_form,
+    _ring_allreduce_form,
+    _ring_reduce_scatter_form,
+    _tree_allreduce_form,
 )
 
 __all__ = [
-    "ARRAY_FORMULAS",
     "COLLECTIVES",
     "TopologyHint",
     "CollectiveAlgorithm",
@@ -146,7 +155,54 @@ class FormulaAlgorithm(CollectiveAlgorithm):
         return self._fn(p, nbytes, params)
 
 
+class _BuiltinFormula(FormulaAlgorithm):
+    """A built-in closed form ``form(p, m, alpha, beta, log2p,
+    ceil_log2p)`` (see :mod:`repro.collectives.algorithms`): :meth:`cost`
+    prices one call with it and :meth:`cost_columns` prices numpy
+    columns with the same body."""
+
+    def __init__(self, collective: str, name: str, form) -> None:
+        super().__init__(collective, name, None)
+        self.form = form
+
+    def cost(
+        self,
+        p: int,
+        nbytes: float,
+        params: HockneyParams,
+        topo: Optional[TopologyHint] = None,
+    ) -> float:
+        _check(p, nbytes)
+        if p == 1:
+            return 0.0
+        return _priced(self.form, p, nbytes, params.alpha, params.beta)
+
+    def cost_columns(self, cols) -> object:
+        return self.form(cols.p, cols.m, cols.alpha, cols.beta,
+                         cols.log2p, cols.ceil_log2p)
+
+
 # --------------------------------------------------------------- new formulas
+def _recursive_doubling_allreduce_form(p, m, alpha, beta, log2p, ceil_log2p):
+    return ceil_log2p * (alpha + m * beta)
+
+
+def _recursive_doubling_allgather_form(p, m, alpha, beta, log2p, ceil_log2p):
+    return ceil_log2p * alpha + (p - 1.0) * m * beta
+
+
+def _recursive_halving_reduce_scatter_form(
+    p, m, alpha, beta, log2p, ceil_log2p
+):
+    return ceil_log2p * alpha + (p - 1.0) / p * m * beta
+
+
+def _scatter_allgather_broadcast_form(p, m, alpha, beta, log2p, ceil_log2p):
+    alpha_term = (ceil_log2p + (p - 1.0)) * alpha
+    beta_term = 2.0 * (p - 1.0) / p * m * beta
+    return alpha_term + beta_term
+
+
 def recursive_doubling_allreduce_time(
     p: int, nbytes: float, params: HockneyParams
 ) -> float:
@@ -156,10 +212,7 @@ def recursive_doubling_allreduce_time(
     partner at distance ``2^r`` — latency-optimal (fewest rounds of any
     allreduce), bandwidth-hungry, the classic MPI small-message choice.
     """
-    if p <= 1:
-        return 0.0
-    rounds = math.ceil(math.log2(p))
-    return rounds * (params.alpha + nbytes * params.beta)
+    return _one_call(_recursive_doubling_allreduce_form, p, nbytes, params)
 
 
 def recursive_doubling_allgather_time(
@@ -169,10 +222,8 @@ def recursive_doubling_allgather_time(
     ``ceil(log2 p) alpha + (p-1) m_seg beta`` (round ``r`` moves
     ``2^r m_seg`` bytes; the doubled volumes telescope to ``p - 1``
     segments)."""
-    if p <= 1:
-        return 0.0
-    rounds = math.ceil(math.log2(p))
-    return rounds * params.alpha + (p - 1) * seg_bytes * params.beta
+    return _one_call(
+        _recursive_doubling_allgather_form, p, seg_bytes, params)
 
 
 def recursive_halving_reduce_scatter_time(
@@ -182,10 +233,8 @@ def recursive_halving_reduce_scatter_time(
     ``ceil(log2 p) alpha + ((p-1)/p) m beta`` — the first half of a
     Rabenseifner Allreduce.  Message volume matches the ring variant but
     in logarithmically fewer rounds."""
-    if p <= 1:
-        return 0.0
-    rounds = math.ceil(math.log2(p))
-    return rounds * params.alpha + (p - 1) / p * nbytes * params.beta
+    return _one_call(
+        _recursive_halving_reduce_scatter_form, p, nbytes, params)
 
 
 def scatter_allgather_broadcast_time(
@@ -194,12 +243,18 @@ def scatter_allgather_broadcast_time(
     """van de Geijn large-message broadcast: binomial scatter of ``m/p``
     chunks followed by a ring Allgather —
     ``(ceil(log2 p) + p - 1) alpha + 2 ((p-1)/p) m beta``."""
-    if p <= 1:
-        return 0.0
-    rounds = math.ceil(math.log2(p))
-    alpha_term = (rounds + (p - 1)) * params.alpha
-    beta_term = 2.0 * (p - 1) / p * nbytes * params.beta
-    return alpha_term + beta_term
+    return _one_call(_scatter_allgather_broadcast_form, p, nbytes, params)
+
+
+def _hierarchical_form(m, n, leaders, intra_alpha, intra_beta, inter_alpha,
+                       inter_beta, ceil_log2n):
+    """Binomial reduce to the node leader, ring Allreduce between the
+    ``leaders``, binomial broadcast back (``n`` GPUs per node)."""
+    tree = _binomial_tree_form(n, m, intra_alpha, intra_beta, None,
+                               ceil_log2n)
+    ring = _ring_allreduce_form(leaders, m, inter_alpha, inter_beta, None,
+                                None)
+    return tree + ring + tree
 
 
 class HierarchicalAllreduce(CollectiveAlgorithm):
@@ -236,12 +291,13 @@ class HierarchicalAllreduce(CollectiveAlgorithm):
         if topo is None:
             raise ValueError("hierarchical allreduce needs a TopologyHint")
         n = topo.gpus_per_node
-        leaders = p // n
-        return (
-            reduce_time(n, nbytes, topo.intra)
-            + ring_allreduce_time(leaders, nbytes, topo.inter)
-            + broadcast_time(n, nbytes, topo.intra)
-        )
+        _check(p // n, nbytes)
+        return _hierarchical_form(
+            nbytes, n, p // n, topo.intra.alpha, topo.intra.beta,
+            topo.inter.alpha, topo.inter.beta, math.ceil(math.log2(n)))
+
+    def cost_columns(self, cols) -> object:
+        return _hierarchical_form(cols.m, *cols.hint_columns())
 
 
 # ------------------------------------------------------------------- registry
@@ -294,136 +350,38 @@ def registered() -> Tuple[Tuple[str, str], ...]:
 
 
 # ------------------------------------------------------- built-in catalogue
-register(FormulaAlgorithm(
-    "allreduce", "ring",
-    lambda p, m, params: ring_allreduce_time(p, m, params)))
-register(FormulaAlgorithm(
-    "allreduce", "tree",
-    lambda p, m, params: tree_allreduce_time(p, m, params)))
-register(FormulaAlgorithm(
-    "allreduce", "recursive-doubling", recursive_doubling_allreduce_time))
+for _collective, _name, _form in (
+    ("allreduce", "ring", _ring_allreduce_form),
+    ("allreduce", "tree", _tree_allreduce_form),
+    ("allreduce", "recursive-doubling", _recursive_doubling_allreduce_form),
+    ("allgather", "ring", _ring_allgather_form),
+    ("allgather", "recursive-doubling", _recursive_doubling_allgather_form),
+    ("reduce_scatter", "ring", _ring_reduce_scatter_form),
+    ("reduce_scatter", "recursive-halving",
+     _recursive_halving_reduce_scatter_form),
+    ("broadcast", "binomial-tree", _binomial_tree_form),
+    ("broadcast", "scatter-allgather", _scatter_allgather_broadcast_form),
+    ("reduce", "binomial-tree", _binomial_tree_form),
+):
+    register(_BuiltinFormula(_collective, _name, _form))
 register(HierarchicalAllreduce())
 
-register(FormulaAlgorithm(
-    "allgather", "ring",
-    lambda p, seg, params: ring_allgather_time(p, seg, params)))
-register(FormulaAlgorithm(
-    "allgather", "recursive-doubling", recursive_doubling_allgather_time))
-
-register(FormulaAlgorithm(
-    "reduce_scatter", "ring",
-    lambda p, m, params: ring_reduce_scatter_time(p, m, params)))
-register(FormulaAlgorithm(
-    "reduce_scatter", "recursive-halving",
-    recursive_halving_reduce_scatter_time))
-
-register(FormulaAlgorithm("broadcast", "binomial-tree", broadcast_time))
-register(FormulaAlgorithm(
-    "broadcast", "scatter-allgather", scatter_allgather_broadcast_time))
-
-register(FormulaAlgorithm("reduce", "binomial-tree", reduce_time))
+# The catalogue as registered at import.  An algorithm re-registered
+# over a built-in name (``register(..., overwrite=True)``) is not in it,
+# so :func:`array_formula` never prices it with the built-in's form.
+_BUILTINS: Dict[Tuple[str, str], CollectiveAlgorithm] = dict(_REGISTRY)
 
 
-# ------------------------------------------------------------ array formulas
-# Vectorized twins of the built-in scalar formulas, used by
-# :meth:`repro.collectives.selector.CommModel.time_batch`.  Each entry is
-# ``fn(p, m, alpha, beta, log2p, ceil_log2p) -> seconds`` where every
-# argument is a broadcastable float64 ndarray (or scalar).  The bodies
-# are written operator-for-operator like the scalar formulas above, so
-# elementwise results are bit-identical; ``log2p``/``ceil_log2p`` are
-# precomputed by the caller per *unique* p with ``math.log2``/
-# ``math.ceil`` (never ``numpy.log2``) so round counts match the scalar
-# path exactly, including the power-of-two edge.  ``p == 1`` / ``m == 0``
-# elements are masked to zero by the caller — several formulas (tree,
-# binomial) do not vanish at a singleton communicator on their own.
-#
-# These are plain arithmetic over whatever array type is passed in, so
-# the module itself never imports numpy.
-
-
-def _arr_ring_allreduce(p, m, alpha, beta, log2p, ceil_log2p):
-    steps = 2.0 * (p - 1.0)
-    return steps * alpha + steps * (m / p) * beta
-
-
-def _arr_tree_allreduce(p, m, alpha, beta, log2p, ceil_log2p):
-    steps = 2.0 * (log2p + 4.0)  # chunks = 4, as in tree_allreduce_time
-    return steps * alpha + steps * (m / 8.0) * beta
-
-
-def _arr_rd_allreduce(p, m, alpha, beta, log2p, ceil_log2p):
-    return ceil_log2p * (alpha + m * beta)
-
-
-def _arr_ring_allgather(p, m, alpha, beta, log2p, ceil_log2p):
-    steps = p - 1.0
-    return steps * alpha + steps * m * beta
-
-
-def _arr_rd_allgather(p, m, alpha, beta, log2p, ceil_log2p):
-    return ceil_log2p * alpha + (p - 1.0) * m * beta
-
-
-def _arr_ring_reduce_scatter(p, m, alpha, beta, log2p, ceil_log2p):
-    steps = p - 1.0
-    return steps * alpha + steps * (m / p) * beta
-
-
-def _arr_rh_reduce_scatter(p, m, alpha, beta, log2p, ceil_log2p):
-    return ceil_log2p * alpha + (p - 1.0) / p * m * beta
-
-
-def _arr_binomial_p2p(p, m, alpha, beta, log2p, ceil_log2p):
-    return ceil_log2p * (alpha + m * beta)
-
-
-def _arr_scatter_allgather(p, m, alpha, beta, log2p, ceil_log2p):
-    alpha_term = (ceil_log2p + (p - 1.0)) * alpha
-    beta_term = 2.0 * (p - 1.0) / p * m * beta
-    return alpha_term + beta_term
-
-
-#: ``(collective, algorithm) -> array formula``.  Every built-in except
-#: the topology-dependent hierarchical Allreduce has an entry; the
-#: selector special-cases that one (and falls back to scalar ``choose``
-#: for third-party registrations without a twin).
-ARRAY_FORMULAS: Dict[Tuple[str, str], Callable[..., object]] = {
-    ("allreduce", "ring"): _arr_ring_allreduce,
-    ("allreduce", "tree"): _arr_tree_allreduce,
-    ("allreduce", "recursive-doubling"): _arr_rd_allreduce,
-    ("allgather", "ring"): _arr_ring_allgather,
-    ("allgather", "recursive-doubling"): _arr_rd_allgather,
-    ("reduce_scatter", "ring"): _arr_ring_reduce_scatter,
-    ("reduce_scatter", "recursive-halving"): _arr_rh_reduce_scatter,
-    ("broadcast", "binomial-tree"): _arr_binomial_p2p,
-    ("broadcast", "scatter-allgather"): _arr_scatter_allgather,
-    ("reduce", "binomial-tree"): _arr_binomial_p2p,
-}
-
-# The algorithm instances each array formula mirrors.  If a caller
-# re-registers over a built-in name (``register(..., overwrite=True)``)
-# the twin no longer describes what ``choose`` would cost, so
-# :func:`array_formula` stops offering it and the selector falls back to
-# the scalar path for that algorithm.
-_ARRAY_SOURCES: Dict[Tuple[str, str], CollectiveAlgorithm] = {
-    key: _REGISTRY[key] for key in ARRAY_FORMULAS
-}
-
-
-def array_formula(
-    collective: str, name: str
-) -> Optional[Callable[..., object]]:
-    """The vectorized twin of a *built-in* registered algorithm.
-
-    Returns ``None`` when there is no twin or when the registered
-    algorithm under this name is no longer the built-in the twin was
-    derived from.
+def array_formula(algo: CollectiveAlgorithm) -> Optional[Callable]:
+    """``algo``'s column pricer ``fn(cols) -> seconds`` (what
+    :meth:`~repro.collectives.selector.CommModel.time_batch` runs), or
+    ``None`` when ``algo`` is not one of the built-in catalogue's own
+    instances — a third-party or re-registered algorithm is priced by
+    its scalar :meth:`~CollectiveAlgorithm.cost`, one call at a time.
     """
-    key = (collective, name)
-    fn = ARRAY_FORMULAS.get(key)
-    if fn is None or _REGISTRY.get(key) is not _ARRAY_SOURCES[key]:
+    if _BUILTINS.get((algo.collective, algo.name)) is not algo:
         return None
-    return fn
+    return algo.cost_columns
 
 
 __all__.append("array_formula")

@@ -31,6 +31,14 @@ A per-collective algorithm can also be *forced* (``algo={"allreduce":
 "recursive-doubling"}``, the CLI's ``--comm-algo``); unsupported forced
 choices fall back to the policy pick rather than failing a projection.
 
+The dispatch is written once (:meth:`CommModel._rows`: ordered
+``(algorithm, eligible)`` rows, first cheapest eligible row wins) and
+run by two evaluators: ``_Row`` prices one call with each algorithm's
+scalar ``cost`` (:meth:`CommModel.choose`), and ``_Columns`` prices
+numpy columns of calls with the same closed forms
+(:meth:`CommModel.time_batch`, via
+:func:`~repro.collectives.registry.array_formula`).
+
 Selection is *memoized*: resolved choices, scope parameters, and
 topology hints live in bounded per-instance LRU memos keyed by
 ``(collective, p, m, params, scope, transport)``, because the search
@@ -57,7 +65,6 @@ from . import registry as _registry
 from .registry import (
     COLLECTIVES,
     CollectiveAlgorithm,
-    HierarchicalAllreduce,
     TopologyHint,
 )
 
@@ -267,16 +274,6 @@ class CommModel:
         return hint
 
     # -------------------------------------------------------------- selection
-    def _cost(
-        self,
-        algo: CollectiveAlgorithm,
-        p: int,
-        nbytes: float,
-        params: HockneyParams,
-        topo: Optional[TopologyHint],
-    ) -> float:
-        return algo.cost(p, nbytes, params, topo)
-
     def choose(
         self,
         collective: str,
@@ -345,59 +342,52 @@ class CommModel:
                 f"unknown collective {collective!r}; expected one of "
                 f"{COLLECTIVES}"
             )
-        default = PAPER_DEFAULTS[collective]
         if p <= 1 or nbytes <= 0:
-            return CommChoice(collective, self.algo.get(collective, default), 0.0)
+            return CommChoice(collective, self._free_name(collective), 0.0)
         if params is None:
             params = self.scope_params(p, scope, transport)
         topo = self.topology_hint(p) if scope == "auto" else None
+        row = _Row(p, nbytes, params, topo)
+        name, seconds = row.pick(self._rows(collective, row))
+        return CommChoice(collective, name, seconds)
 
+    def _free_name(self, collective: str) -> str:
+        """The label of a free call (``p <= 1`` or ``nbytes <= 0``)."""
+        return self.algo.get(collective, PAPER_DEFAULTS[collective])
+
+    def _rows(self, collective: str, ev) -> List[tuple]:
+        """The policy dispatch, written once for both evaluators.
+
+        Returns ordered ``(algorithm, eligible)`` rows; the evaluator
+        picks the first minimum-cost eligible row, so row order is the
+        tie-break.  ``eligible`` is a bool, or a bool column where it
+        varies across a batch.  A forced algorithm wins wherever it is
+        eligible; elsewhere (e.g. hierarchical inside a node) it
+        degrades to the policy pick instead of failing.
+        """
+        get = _registry.get_algorithm
         forced = self.algo.get(collective)
         if forced is not None:
-            algo = _registry.get_algorithm(collective, forced)
-            if algo.supports(p, nbytes, topo):
-                return CommChoice(
-                    collective, forced, self._cost(algo, p, nbytes, params, topo)
-                )
-            # An ineligible forced algorithm (e.g. hierarchical inside a
-            # node) degrades to the policy pick instead of failing.
-
-        if self.policy == "paper":
-            algo = _registry.get_algorithm(collective, default)
-            return CommChoice(
-                collective, default, self._cost(algo, p, nbytes, params, topo)
-            )
-
-        if self.policy == "nccl-like":
-            if collective == "allreduce" and nbytes < self.tree_threshold:
-                ring = _registry.get_algorithm("allreduce", "ring")
-                tree = _registry.get_algorithm("allreduce", "tree")
-                tr = self._cost(ring, p, nbytes, params, topo)
-                tt = self._cost(tree, p, nbytes, params, topo)
-                return (
-                    CommChoice(collective, "tree", tt)
-                    if tt <= tr
-                    else CommChoice(collective, "ring", tr)
-                )
-            algo = _registry.get_algorithm(collective, default)
-            return CommChoice(
-                collective, default, self._cost(algo, p, nbytes, params, topo)
-            )
-
-        # auto: min cost over every eligible registered algorithm;
-        # deterministic tie-break on name.
-        best: Optional[CommChoice] = None
-        for algo in _registry.algorithms_for(collective):
-            if not algo.supports(p, nbytes, topo):
-                continue
-            cost = self._cost(algo, p, nbytes, params, topo)
-            if best is None or cost < best.seconds or (
-                cost == best.seconds and algo.name < best.algorithm
-            ):
-                best = CommChoice(collective, algo.name, cost)
-        if best is None:  # pragma: no cover - registry always has ring
-            raise RuntimeError(f"no eligible algorithm for {collective!r}")
-        return best
+            algo = get(collective, forced)
+            ok = ev.supports(algo)
+            if ok is True:
+                return [(algo, True)]
+        if self.policy == "auto":
+            # Every eligible registered algorithm, name-sorted: equal
+            # cost keeps the smaller name.
+            rows = [(a, ev.supports(a))
+                    for a in _registry.algorithms_for(collective)]
+        elif self.policy == "nccl-like" and collective == "allreduce":
+            # Tree below the size threshold unless the ring is strictly
+            # cheaper; ring above it.
+            rows = [(get(collective, "tree"), ev.below(self.tree_threshold)),
+                    (get(collective, "ring"), True)]
+        else:  # paper, and nccl-like for every other collective
+            rows = [(get(collective, PAPER_DEFAULTS[collective]), True)]
+        if forced is not None and ok is not False:
+            # Eligible for part of a batch: forced there, policy elsewhere.
+            rows = [(algo, ok)] + [(a, ~ok & elig) for a, elig in rows]
+        return rows
 
     # --------------------------------------------------------- batch selection
     def time_batch(
@@ -410,7 +400,7 @@ class CommModel:
         scope: str = "auto",
         transport: str = "nccl",
     ) -> BatchChoice:
-        """Vectorized :meth:`choose` over arrays of ``(p, nbytes)``.
+        """:meth:`choose` over arrays of ``(p, nbytes)``.
 
         ``p`` and ``nbytes`` broadcast against each other (the layer-wise
         legs pass ``(n, 1)`` communicator sizes against ``(n, sizes)``
@@ -420,15 +410,14 @@ class CommModel:
         broadcast over the batch, or an ``(alpha, beta)`` array pair.
 
         Results are elementwise identical to calling :meth:`choose` per
-        element: cost formulas come from
-        :data:`~repro.collectives.registry.ARRAY_FORMULAS` (written
-        operator-for-operator like the scalar ones), log2 round counts
-        are precomputed per unique ``p`` with ``math.log2``, and free
-        calls (``p <= 1`` or ``nbytes <= 0``) are masked to zero.
-        Configurations the array path cannot express — a forced
-        hierarchical/third-party algorithm, or an ``auto`` policy facing
-        a registered algorithm without an array twin — degrade to an
-        elementwise scalar loop, never to different answers.
+        element: the same policy dispatch runs over numpy columns, and
+        each built-in algorithm is priced by the same closed form
+        :meth:`~repro.collectives.registry.CollectiveAlgorithm.cost`
+        uses (see :func:`~repro.collectives.registry.array_formula`).
+        Free calls (``p <= 1`` or ``nbytes <= 0``) are masked to zero.
+        A third-party algorithm (or one re-registered over a built-in
+        name) has only its scalar ``cost`` and ``supports``, so the
+        dispatch asks those one element at a time.
 
         Batch calls bypass the choose memo; they tally into
         :attr:`selections` and the ``batched_calls`` /
@@ -445,216 +434,26 @@ class CommModel:
             )
         if self._token() != self._memo_token:
             self.clear_memo()
-        p_arr = np.asarray(p, dtype=np.int64)
-        m = np.asarray(nbytes, dtype=np.float64)
-        shape = np.broadcast_shapes(p_arr.shape, m.shape)
-        free = np.broadcast_to((p_arr <= 1) | (m <= 0.0), shape)
-        default = PAPER_DEFAULTS[collective]
-        forced = self.algo.get(collective)
-
-        uvals, inv = np.unique(p_arr, return_inverse=True)
-        inv = inv.reshape(p_arr.shape)
-        upy = [int(v) for v in uvals]
-        # Unique p values whose every element is masked free never reach
-        # a cost formula — the scalar path would not resolve their
-        # Hockney parameters either (resolution can raise, e.g. the
-        # inter-node scope on a single-node cluster).
-        nonfree_u = (
-            np.bincount(
-                np.broadcast_to(inv, shape)[~free].ravel(),
-                minlength=len(upy),
-            )
-            > 0
-        )
-
-        # Round counts per unique p via math.log2/math.ceil: numpy.log2
-        # can land on the wrong side of an integer at powers of two,
-        # which would flip a whole binomial round vs. the scalar path.
-        l2_u = [math.log2(v) if v >= 2 else 0.0 for v in upy]
-        l2 = np.asarray(l2_u, dtype=np.float64)[inv]
-        cl2 = np.asarray(
-            [float(math.ceil(x)) for x in l2_u], dtype=np.float64
-        )[inv]
-
-        if params is None:
-            ab = [
-                self.scope_params(v, scope, transport)
-                if v >= 2 and need
-                else None
-                for v, need in zip(upy, nonfree_u.tolist())
-            ]
-            alpha = np.asarray(
-                [x.alpha if x is not None else 0.0 for x in ab]
-            )[inv]
-            beta = np.asarray(
-                [x.beta if x is not None else 0.0 for x in ab]
-            )[inv]
-        elif isinstance(params, HockneyParams):
-            alpha, beta = params.alpha, params.beta
-        else:
-            alpha, beta = params
-
-        pf = p_arr.astype(np.float64)
-        resolved = self._resolve_batch(
-            collective, forced, default, pf, m, alpha, beta, l2, cl2,
-            inv, upy, scope, shape,
-        )
-        if resolved is None:
-            return self._time_batch_scalar(
-                collective, p_arr, m, params, alpha, beta, scope,
-                transport, shape,
-            )
-        seconds, algorithms, index = resolved
-        seconds = np.where(free, 0.0, seconds)
-        # Free elements carry the forced-or-default label, matching the
-        # early-out in scalar choose.
-        free_name = forced if forced is not None else default
-        if free.any() and (index is not None or algorithms[0] != free_name):
-            if free_name not in algorithms:
-                algorithms = algorithms + (free_name,)
-            fi = algorithms.index(free_name)
-            if index is None:
-                index = np.zeros(shape, dtype=np.int64)
-            else:
-                index = np.broadcast_to(index, shape).copy()
-            index[free] = fi
-        elif index is not None:
+        cols = _Columns(self, p, nbytes, params, scope, transport)
+        seconds, algorithms, index = cols.pick(self._rows(collective, cols))
+        free, shape = cols.free, cols.shape
+        if cols.any_free:
+            seconds = np.where(free, 0.0, seconds)
+            # Free elements carry the forced-or-default label, matching
+            # the early-out in scalar choose.
+            free_name = self._free_name(collective)
+            if index is not None or algorithms[0] != free_name:
+                if free_name not in algorithms:
+                    algorithms += (free_name,)
+                index = np.where(free, algorithms.index(free_name),
+                                 0 if index is None else index)
+        if index is not None:
             index = np.broadcast_to(index, shape)
         self._tally_batch(collective, algorithms, index, shape)
         return BatchChoice(collective, seconds, algorithms, index)
 
-    def _resolve_batch(
-        self, collective, forced, default, pf, m, alpha, beta, l2,
-        cl2, inv, upy, scope, shape,
-    ):
-        """Array-path policy dispatch; ``None`` demands the scalar loop."""
-        if forced is not None:
-            fa = _registry.array_formula(collective, forced)
-            if fa is None:
-                # Forced hierarchical / third-party algorithm: eligibility
-                # (and the per-element degrade to the policy pick) is
-                # scalar logic.
-                return None
-            return fa(pf, m, alpha, beta, l2, cl2), (forced,), None
-        if self.policy == "paper" or (
-            self.policy == "nccl-like" and collective != "allreduce"
-        ):
-            fa = _registry.array_formula(collective, default)
-            if fa is None:
-                return None
-            return fa(pf, m, alpha, beta, l2, cl2), (default,), None
-        if self.policy == "nccl-like":
-            fring = _registry.array_formula("allreduce", "ring")
-            ftree = _registry.array_formula("allreduce", "tree")
-            if fring is None or ftree is None:
-                return None
-            tr = fring(pf, m, alpha, beta, l2, cl2)
-            tt = ftree(pf, m, alpha, beta, l2, cl2)
-            use_tree = (m < self.tree_threshold) & (tt <= tr)
-            seconds = np.where(use_tree, tt, tr)
-            index = np.broadcast_to(use_tree, shape).astype(np.int64)
-            return seconds, ("ring", "tree"), index
-        # auto: stack every registered algorithm's cost and take the
-        # first minimum — rows are name-sorted, so argmin's first-hit
-        # reproduces the scalar "equal cost keeps the smaller name"
-        # tie-break.
-        rows: List[Any] = []
-        names: List[str] = []
-        for algo in _registry.algorithms_for(collective):
-            fa = _registry.array_formula(collective, algo.name)
-            if fa is not None:
-                rows.append(
-                    np.broadcast_to(fa(pf, m, alpha, beta, l2, cl2), shape)
-                )
-            elif type(algo) is HierarchicalAllreduce:
-                rows.append(
-                    self._hierarchical_batch(m, inv, upy, scope, shape)
-                )
-            else:
-                return None
-            names.append(algo.name)
-        stack = np.stack(rows)
-        index = np.argmin(stack, axis=0)
-        return stack.min(axis=0), tuple(names), index
-
-    def _hierarchical_batch(self, m, inv, upy, scope, shape):
-        """Per-element hierarchical-Allreduce cost; ``+inf`` where the
-        communicator does not span whole nodes (never selected)."""
-        elig = []
-        cols = {k: [] for k in ("ai", "bi", "ae", "be", "ll", "cn")}
-        for v in upy:
-            hint = self.topology_hint(v) if scope == "auto" else None
-            ok = (
-                hint is not None
-                and hint.gpus_per_node > 1
-                and v > hint.gpus_per_node
-                and v % hint.gpus_per_node == 0
-            )
-            elig.append(ok)
-            if ok:
-                cols["ai"].append(hint.intra.alpha)
-                cols["bi"].append(hint.intra.beta)
-                cols["ae"].append(hint.inter.alpha)
-                cols["be"].append(hint.inter.beta)
-                cols["ll"].append(float(v // hint.gpus_per_node))
-                cols["cn"].append(
-                    float(math.ceil(math.log2(hint.gpus_per_node)))
-                )
-            else:
-                for k, fill in (
-                    ("ai", 0.0), ("bi", 0.0), ("ae", 0.0),
-                    ("be", 0.0), ("ll", 1.0), ("cn", 0.0),
-                ):
-                    cols[k].append(fill)
-        a = {
-            k: np.asarray(vals, dtype=np.float64)[inv]
-            for k, vals in cols.items()
-        }
-        # Binomial reduce to the leader, leader ring, binomial broadcast
-        # back — term-for-term the HierarchicalAllreduce.cost sum.
-        tree_leg = a["cn"] * (a["ai"] + m * a["bi"])
-        steps = 2.0 * (a["ll"] - 1.0)
-        ring_leg = steps * a["ae"] + steps * (m / a["ll"]) * a["be"]
-        cost = (tree_leg + ring_leg) + tree_leg
-        return np.broadcast_to(
-            np.where(np.asarray(elig)[inv], cost, np.inf), shape
-        )
-
-    def _time_batch_scalar(
-        self, collective, p_arr, m, params, alpha, beta, scope,
-        transport, shape,
-    ):
-        """Elementwise fallback through :meth:`choose` for configurations
-        without an array formula — identical answers, scalar speed."""
-        pb = np.broadcast_to(p_arr, shape).ravel().tolist()
-        mb = np.broadcast_to(m, shape).ravel().tolist()
-        if params is None or isinstance(params, HockneyParams):
-            prm = [params] * len(pb)
-        else:
-            ab = np.broadcast_to(alpha, shape).ravel().tolist()
-            bb = np.broadcast_to(beta, shape).ravel().tolist()
-            prm = [HockneyParams(x, y) for x, y in zip(ab, bb)]
-        names: Dict[str, int] = {}
-        sec = []
-        idx = []
-        for pi, mi, pr in zip(pb, mb, prm):
-            ch = self.choose(
-                collective, pi, mi, params=pr, scope=scope,
-                transport=transport,
-            )
-            sec.append(ch.seconds)
-            idx.append(names.setdefault(ch.algorithm, len(names)))
-        seconds = np.asarray(sec, dtype=np.float64).reshape(shape)
-        algorithms = tuple(names)
-        if len(algorithms) == 1:
-            return BatchChoice(collective, seconds, algorithms, None)
-        index = np.asarray(idx, dtype=np.int64).reshape(shape)
-        return BatchChoice(collective, seconds, algorithms, index)
-
     def _tally_batch(self, collective, algorithms, index, shape):
-        total = 1
-        for d in shape:
-            total *= d
+        total = math.prod(shape)
         self.stats["batched_calls"] += 1
         self.stats["batched_elements"] += total
         sel = self.selections
@@ -736,6 +535,161 @@ class CommModel:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CommModel({self.describe()!r} on {self.cluster!r})"
+
+
+class _Row:
+    """One call as Python numbers: the evaluator under
+    :meth:`CommModel.choose`."""
+
+    __slots__ = ("p", "m", "params", "topo")
+
+    def __init__(self, p: int, m: float, params: HockneyParams,
+                 topo: Optional[TopologyHint]) -> None:
+        self.p, self.m, self.params, self.topo = p, m, params, topo
+
+    def supports(self, algo: CollectiveAlgorithm) -> bool:
+        return bool(algo.supports(self.p, self.m, self.topo))
+
+    def below(self, threshold: float) -> bool:
+        return self.m < threshold
+
+    def pick(self, rows) -> Tuple[str, float]:
+        """``(name, seconds)`` of the first cheapest eligible row."""
+        best: Optional[Tuple[str, float]] = None
+        for algo, ok in rows:
+            if ok:
+                cost = algo.cost(self.p, self.m, self.params, self.topo)
+                if best is None or cost < best[1]:
+                    best = (algo.name, cost)
+        return best
+
+
+class _Columns:
+    """A batch of calls as numpy columns: the evaluator under
+    :meth:`CommModel.time_batch`.
+
+    Per-communicator quantities (Hockney parameters, round counts,
+    topology hints, eligibility) are resolved once per distinct ``p``
+    and gathered back to the elements.
+    """
+
+    def __init__(self, model: CommModel, p, nbytes, params, scope: str,
+                 transport: str) -> None:
+        p_int = np.asarray(p, dtype=np.int64)
+        m = np.asarray(nbytes, dtype=np.float64)
+        self.model, self.scope = model, scope
+        self.p_int, self.m = p_int, m
+        self.p = p_int.astype(np.float64)
+        self.shape = shape = np.broadcast_shapes(p_int.shape, m.shape)
+        self.free = np.broadcast_to((p_int <= 1) | (m <= 0.0), shape)
+        self.any_free = bool(self.free.any())
+        uvals, inv = np.unique(p_int, return_inverse=True)
+        self._inv = inv = inv.reshape(p_int.shape)
+        self._ps = ps = [int(v) for v in uvals]
+        # Distinct p values whose every element is free never reach a
+        # cost formula — scalar choose would not resolve their Hockney
+        # parameters either (resolution can raise, e.g. the inter-node
+        # scope on a single-node cluster).
+        self._live = (np.bincount(
+            np.broadcast_to(inv, shape)[~self.free].ravel(),
+            minlength=len(ps)) > 0).tolist() if self.any_free else (
+            [True] * len(ps))
+        # Round counts via math.log2/math.ceil, as scalar pricing does.
+        log2 = [math.log2(v) if v >= 2 else 0.0 for v in ps]
+        self.log2p = np.asarray(log2, dtype=np.float64)[inv]
+        self.ceil_log2p = np.asarray(
+            [math.ceil(x) for x in log2], dtype=np.float64)[inv]
+        if params is None:
+            hp = [model.scope_params(v, scope, transport) if live else None
+                  for v, live in zip(ps, self._live)]
+            self.alpha = np.asarray(
+                [h.alpha if h is not None else 0.0 for h in hp])[inv]
+            self.beta = np.asarray(
+                [h.beta if h is not None else 0.0 for h in hp])[inv]
+        elif isinstance(params, HockneyParams):
+            self.alpha, self.beta = params.alpha, params.beta
+        else:
+            self.alpha, self.beta = params
+        self._hints: Optional[List[Optional[TopologyHint]]] = None
+
+    def hints(self) -> List[Optional[TopologyHint]]:
+        """Topology hint per distinct ``p``, as scalar choose gets it
+        (resolved on first use: only some algorithms read it)."""
+        if self._hints is None:
+            self._hints = [
+                self.model.topology_hint(v) if self.scope == "auto" else None
+                for v in self._ps]
+        return self._hints
+
+    def _mask(self, values):
+        """``True``/``False`` when uniform, else the bool column."""
+        if values.all():
+            return True
+        return values if values.any() else False
+
+    def _each(self, fn, fill, where=True) -> Any:
+        """``fn(p, m, params, topo)`` one element at a time (``fill``
+        where free or outside ``where``), for an algorithm with only a
+        scalar ``cost``/``supports``."""
+        shape = self.shape
+        p, m, alpha, beta, k, live = (
+            np.broadcast_to(a, shape).ravel().tolist()
+            for a in (self.p_int, self.m, self.alpha, self.beta, self._inv,
+                      ~self.free & where))
+        hints = self.hints()
+        out = [fn(pi, mi, HockneyParams(ai, bi), hints[ki]) if go else fill
+               for pi, mi, ai, bi, ki, go in zip(p, m, alpha, beta, k, live)]
+        return np.asarray(out).reshape(shape)
+
+    def supports(self, algo: CollectiveAlgorithm):
+        if _registry.array_formula(algo) is None:
+            return self._mask(self._each(
+                lambda p, m, params, topo: bool(algo.supports(p, m, topo)),
+                True))
+        # A built-in's eligibility reads the communicator (p, topology),
+        # never the message size: ask once per distinct live p.
+        ok = [not live or bool(algo.supports(v, None, hint))
+              for v, live, hint in zip(self._ps, self._live, self.hints())]
+        return True if all(ok) else self._mask(np.asarray(ok)[self._inv])
+
+    def below(self, threshold: float):
+        return self._mask(self.m < threshold)
+
+    def hint_columns(self) -> Tuple[Any, ...]:
+        """``(n, leaders, intra alpha, intra beta, inter alpha, inter
+        beta, ceil log2 n)`` per element, the hierarchical Allreduce's
+        inputs; placeholders (never selected) where there is no hint."""
+        per_p = [
+            (2, 1, 0.0, 0.0, 0.0, 0.0, 0) if h is None else (
+                h.gpus_per_node, v // h.gpus_per_node, h.intra.alpha,
+                h.intra.beta, h.inter.alpha, h.inter.beta,
+                math.ceil(math.log2(h.gpus_per_node)))
+            for v, h in zip(self._ps, self.hints())]
+        return tuple(np.asarray(per_p, dtype=np.float64).T.take(
+            self._inv, axis=1))
+
+    def pick(self, rows) -> Tuple[Any, Tuple[str, ...], Any]:
+        """``(seconds, names, index)`` of the first cheapest eligible row
+        per element; ``index`` is ``None`` when one row decides all."""
+        names: List[str] = []
+        seconds = index = None
+        for algo, ok in rows:
+            if ok is False:
+                continue
+            price = _registry.array_formula(algo)
+            cost = (price(self) if price is not None
+                    else self._each(algo.cost, 0.0, ok))
+            if ok is not True:
+                cost = np.where(ok, cost, np.inf)
+            if seconds is None:
+                seconds = cost
+            else:  # strictly cheaper, as in _Row.pick
+                better = cost < seconds
+                seconds = np.where(better, cost, seconds)
+                index = np.where(better, len(names),
+                                 0 if index is None else index)
+            names.append(algo.name)
+        return seconds, tuple(names), index
 
 
 def as_comm_model(

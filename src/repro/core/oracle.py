@@ -358,11 +358,17 @@ class ParaDL:
         ok: List[Tuple[Strategy, Projection]] = []
         for strategy in candidates:
             batch = samples_per_pe * strategy.p1
-            try:
-                strategy.check(self.model, batch)
-                proj = self.project(strategy, batch, dataset)
-            except (StrategyError, ValueError) as exc:
-                results.append(Suggestion(strategy, None, 0, False, str(exc)))
+            # Check before projecting, so a structural error wins over
+            # project()'s batch/dataset error; through the analyzer's
+            # memo, so project()'s own check is a hit.
+            err = self.analytical._checked(strategy, batch)
+            if err is None:
+                try:
+                    proj = self.project(strategy, batch, dataset)
+                except (StrategyError, ValueError) as exc:
+                    err = exc
+            if err is not None:
+                results.append(Suggestion(strategy, None, 0, False, str(err)))
                 continue
             if not proj.feasible_memory:
                 results.append(Suggestion(
@@ -399,7 +405,6 @@ class ParaDL:
         on_result=None,
         tracer=None,
         metrics=None,
-        vectorize: Optional[bool] = None,
     ):
         """Automated strategy search (the :mod:`repro.search` facade).
 
@@ -407,8 +412,7 @@ class ParaDL:
         *every* PE count up to the largest budget, and sweeps hybrid
         factorizations over the full divisor lattice (p2 from 1 to p) —
         the exhaustive-search mode the vectorized projection path makes
-        affordable.  ``vectorize`` is the engine's array-path routing
-        policy (``None`` auto / ``False`` scalar / ``True`` force).
+        affordable.
 
         ``fixed_batches`` pins the strong scalers' global batches
         (default: one node's worth of samples per
@@ -483,7 +487,7 @@ class ParaDL:
             self, dataset, cache=cache, cache_dir=cache_dir,
             workers=workers, executor=executor,
             remote_workers=remote_workers,
-            tracer=tracer, metrics=metrics, vectorize=vectorize,
+            tracer=tracer, metrics=metrics,
         )
         return engine.search(space, weights=weights, on_result=on_result)
 

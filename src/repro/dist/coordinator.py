@@ -120,7 +120,7 @@ class RemoteCoordinator:
         with a warning; :meth:`connect` reports how many survived).
     payload:
         The pickled oracle context: the ``(oracle, dataset, pruners,
-        traced, vectorize)`` tuple the engine's remote backend builds.
+        traced)`` tuple the engine's remote backend builds.
     digest:
         Context-fingerprint digest the workers verify the payload
         against (see :func:`repro.search.cache.fingerprint_digest`).

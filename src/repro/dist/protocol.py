@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible frame/handshake change; both sides verify.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame preamble — catches port collisions with non-repro services
 #: before any unpickling happens.

@@ -214,7 +214,7 @@ class WorkerServer:
                 return engine
         from ..search.engine import SearchEngine
 
-        oracle, dataset, pruners, traced, vectorize = pickle.loads(payload)
+        oracle, dataset, pruners, traced = pickle.loads(payload)
         actual = fingerprint_digest(context_fingerprint(oracle))
         if actual != digest:
             raise ProtocolError(
@@ -222,7 +222,7 @@ class WorkerServer:
                 f"{digest}, shipped context hashes to {actual}")
         engine = SearchEngine(
             oracle, dataset, pruners=pruners, workers=1,
-            tracer=Tracer() if traced else None, vectorize=vectorize)
+            tracer=Tracer() if traced else None)
         analytical = getattr(oracle, "analytical", None)
         if analytical is not None and hasattr(analytical, "kernel"):
             analytical.kernel  # noqa: B018 - warm the lazy kernel build

@@ -251,15 +251,12 @@ class SearchEngine:
         per-algorithm selections, stage times, epoch-time percentiles,
         vectorized vs. scalar-fallback candidate counts).
         ``None`` skips scraping.
-    vectorize:
-        Routing policy for the structure-of-arrays projection path
-        (``oracle.project_batch``): ``None`` (default) uses it whenever
-        the oracle supports it and a chunk has
-        enough cache-miss survivors to amortize array assembly;
-        ``False`` forces the scalar per-candidate path; ``True`` routes
-        even tiny batches through the array path.  Results are identical
-        either way — both evaluate the same closed form per strategy
-        family (``docs/performance.md``).
+
+    A chunk with at least :data:`_MIN_VECTOR_BATCH` cache-miss survivors
+    is projected as numpy columns (``oracle.project_batch``); smaller
+    ones one candidate at a time (``oracle.project``).  Results are
+    identical either way — both evaluate the same closed form per
+    strategy family (``docs/performance.md``).
     """
 
     def __init__(
@@ -275,7 +272,6 @@ class SearchEngine:
         remote_workers: Optional[Sequence[str]] = None,
         tracer=None,
         metrics=None,
-        vectorize: Optional[bool] = None,
     ) -> None:
         if executor not in EXECUTORS:
             raise ValueError(
@@ -333,7 +329,6 @@ class SearchEngine:
         self._timings_lock = threading.Lock()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.vectorize = vectorize
         #: Candidates projected via the array path vs. the scalar
         #: fallback, lifetime totals (snapshotted per search run).
         self._vec_counts: Dict[str, int] = {"vectorized": 0, "scalar": 0}
@@ -468,16 +463,6 @@ class SearchEngine:
         self.cache.put(key, projection)
         return self._finish(candidate, strategy, projection, cached=False)
 
-    def _can_vectorize(self, n_pending: int) -> bool:
-        """Route ``n_pending`` cache-miss survivors through the array
-        path?  Requires an oracle exposing ``project_batch`` and (unless
-        forced) enough candidates to amortize array assembly."""
-        if self.vectorize is False or n_pending < 1:
-            return False
-        if not hasattr(self.oracle, "project_batch"):
-            return False
-        return self.vectorize is True or n_pending >= _MIN_VECTOR_BATCH
-
     def _count_candidates(self, *, vectorized: int = 0, scalar: int = 0
                           ) -> None:
         with self._timings_lock:
@@ -522,7 +507,7 @@ class SearchEngine:
         scalar otherwise — and tally which path ran."""
         if not pending:
             return []
-        if self._can_vectorize(len(pending)):
+        if len(pending) >= _MIN_VECTOR_BATCH:
             with self.tracer.span(
                     "search.evaluate_batch", candidates=len(pending)):
                 evaluations = self._project_batch(
@@ -636,7 +621,7 @@ class SearchEngine:
         try:
             payload = pickle.dumps(
                 (self.oracle, self.dataset, self.pruners,
-                 self.tracer.enabled, self.vectorize))
+                 self.tracer.enabled))
         except Exception as exc:  # noqa: BLE001 - any pickling failure
             warnings.warn(
                 f"oracle context cannot be pickled ({exc}); falling back "

@@ -518,6 +518,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate sends; with Nagle on, a client
+    # reusing its keep-alive connection waits out its delayed ACK
+    # (~40 ms) on every response.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:
         logger.debug("%s %s", self.address_string(), format % args)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.collectives import (
-    allreduce_time,
+    CommModel,
     broadcast_time,
     p2p_time,
     reduce_time,
@@ -15,6 +15,7 @@ from repro.collectives import (
     tree_allreduce_time,
 )
 from repro.network.hockney import HockneyParams
+from repro.network.topology import abci_like_cluster
 
 H = HockneyParams(alpha=1e-6, beta=1e-10)
 
@@ -96,13 +97,14 @@ class TestTreeAllreduce:
 
 class TestSelection:
     def test_allreduce_selects_by_size(self):
-        small = allreduce_time(512, 1024, H)
-        assert small == pytest.approx(
-            min(tree_allreduce_time(512, 1024, H),
-                ring_allreduce_time(512, 1024, H))
-        )
-        big = allreduce_time(8, 1e9, H)
-        assert big == pytest.approx(ring_allreduce_time(8, 1e9, H))
+        # The nccl-like policy: the cheaper of tree and ring below the
+        # 512 KiB threshold, ring above it.
+        comm = CommModel(abci_like_cluster(1024), "nccl-like")
+        small = comm.time("allreduce", 512, 1024, params=H)
+        assert small == min(tree_allreduce_time(512, 1024, H),
+                            ring_allreduce_time(512, 1024, H))
+        big = comm.time("allreduce", 8, 1e9, params=H)
+        assert big == ring_allreduce_time(8, 1e9, H)
 
 
 class TestOthers:

@@ -271,3 +271,95 @@ class TestChoiceMemo:
         model.scope_params(8)
         model.clear_memo()
         assert not model._choose_memo and not model._params_memo
+
+
+# ------------------------------------------------------- batch == choose
+_PS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
+_MS = (0.0, 1.0, 4096.0, 524287.0, 524288.0, 1e6, 1e8)
+_SCOPES = ("auto", "intra-node", "inter-node")
+
+
+def _forcings():
+    from repro.collectives import registered
+    return [None] + [{c: n} for c, n in registered()]
+
+
+def _assert_batch_matches_choose(make, collective, scope, pin):
+    """One ``time_batch`` over the ``_PS x _MS`` grid against a fresh
+    model's elementwise ``choose``: seconds, labels and tallies exact."""
+    import numpy as np
+
+    from repro.network.hockney import HockneyParams
+
+    batch, rows = make(), make()
+    p = np.array(_PS)[:, None]
+    m = np.array(_MS)[None, :]
+    if pin == "arrays":
+        alpha = np.linspace(1e-6, 5e-6, len(_PS))[:, None]
+        beta = np.linspace(1e-10, 9e-10, len(_PS))[:, None]
+        params = (alpha, beta)
+        per_row = [HockneyParams(float(a), float(b))
+                   for a, b in zip(alpha[:, 0], beta[:, 0])]
+    else:
+        params = HockneyParams(2e-6, 3e-10) if pin == "hockney" else None
+        per_row = [params] * len(_PS)
+    bc = batch.time_batch(collective, p, m, params=params, scope=scope)
+    shape = (len(_PS), len(_MS))
+    seconds = np.broadcast_to(bc.seconds, shape)
+    index = (np.zeros(shape, dtype=int) if bc.index is None
+             else np.broadcast_to(bc.index, shape))
+    for i, pi in enumerate(_PS):
+        for j, mj in enumerate(_MS):
+            want = rows.choose(collective, pi, mj, params=per_row[i],
+                               scope=scope)
+            got = (bc.algorithms[index[i, j]], float(seconds[i, j]))
+            assert got == (want.algorithm, want.seconds), (
+                collective, scope, pin, pi, mj)
+    assert batch.selections == rows.selections
+
+
+class TestTimeBatchParity:
+    """``time_batch`` runs the same dispatch and closed forms as
+    ``choose``, over numpy columns — so every element must agree."""
+
+    @pytest.mark.parametrize("scope", _SCOPES)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_collective_and_forcing(self, cluster, policy, scope):
+        from repro.collectives import COLLECTIVES
+
+        for algo in _forcings():
+            for collective in COLLECTIVES:
+                for pin in (None, "hockney", "arrays"):
+                    _assert_batch_matches_choose(
+                        lambda: CommModel(cluster, policy, algo=algo),
+                        collective, scope, pin)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_third_party_and_overwritten_builtin(self, cluster, policy):
+        """A third-party registration (scalar ``cost`` only, with its own
+        eligibility) and a built-in re-registered with ``overwrite=True``
+        are priced by their own ``cost``, one element at a time."""
+        from repro.collectives import FormulaAlgorithm, register
+        from repro.collectives import registry as reg
+
+        key = ("broadcast", "binomial-tree")
+        builtin = reg._REGISTRY[key]
+        register(FormulaAlgorithm(
+            "allreduce", "zz-third-party",
+            lambda p, m, h: 0.5 * h.p2p(m), lambda p, m: p % 2 == 0))
+        register(FormulaAlgorithm(
+            "broadcast", "binomial-tree", lambda p, m, h: 3.0 * h.p2p(m)),
+            overwrite=True)
+        try:
+            assert reg.array_formula(reg._REGISTRY[key]) is None
+            for algo in (None, {"allreduce": "zz-third-party"},
+                         {"broadcast": "binomial-tree"}):
+                for collective in ("allreduce", "broadcast"):
+                    for scope in _SCOPES:
+                        _assert_batch_matches_choose(
+                            lambda: CommModel(cluster, policy, algo=algo),
+                            collective, scope, None)
+        finally:
+            reg._REGISTRY.pop(("allreduce", "zz-third-party"), None)
+            reg._REGISTRY[key] = builtin
+        assert reg.array_formula(builtin) is not None

@@ -136,7 +136,7 @@ class TestProtocol:
 
 class TestHandshake:
     def test_fingerprint_mismatch_refused(self, oracle, dataset):
-        payload = pickle.dumps((oracle, dataset, None, False, None))
+        payload = pickle.dumps((oracle, dataset, None, False))
         with WorkerServer() as worker:
             coord = RemoteCoordinator(
                 [worker.address], payload, "bogusdigest00000")
@@ -144,7 +144,7 @@ class TestHandshake:
             assert coord.stats["workers_unreachable"] == 1
 
     def test_context_cached_across_connections(self, oracle, dataset):
-        payload = pickle.dumps((oracle, dataset, None, False, None))
+        payload = pickle.dumps((oracle, dataset, None, False))
         digest = fingerprint_digest(context_fingerprint(oracle))
         with WorkerServer() as worker:
             first = RemoteCoordinator([worker.address], payload, digest)
@@ -164,6 +164,21 @@ class TestHandshake:
             try:
                 send_frame(sock, "hello", version=PROTOCOL_VERSION + 1,
                            digest="d")
+                kind, fields = recv_frame(sock, timeout=5)
+                assert kind == "error"
+                assert "version mismatch" in fields["message"]
+            finally:
+                sock.close()
+
+    def test_stale_context_tuple_version_refused(self, oracle, dataset):
+        """Version 1 shipped a five-field context tuple; a peer still
+        speaking it is refused at HELLO instead of failing to unpack."""
+        assert PROTOCOL_VERSION >= 2
+        with WorkerServer() as worker:
+            sock = socket.create_connection(
+                parse_address(worker.address), timeout=5)
+            try:
+                send_frame(sock, "hello", version=1, digest="d")
                 kind, fields = recv_frame(sock, timeout=5)
                 assert kind == "error"
                 assert "version mismatch" in fields["message"]
@@ -289,7 +304,7 @@ class TestCoordinatorFoldIn:
         candidates = list(SPACE.candidates(intra=oracle.cluster.node.gpus))
         half = len(candidates) // 2
         chunks = [candidates[:half], candidates[half:]]
-        payload = pickle.dumps((oracle, dataset, None, False, None))
+        payload = pickle.dumps((oracle, dataset, None, False))
         digest = fingerprint_digest(context_fingerprint(oracle))
         with WorkerServer() as w1, WorkerServer() as w2:
             coord = RemoteCoordinator(

@@ -16,6 +16,7 @@ from repro.core.strategies import (
     DataSpatialParallel,
     FilterParallel,
     ShardedDataParallel,
+    SpatialParallel,
     StrategyError,
     strategy_from_id,
 )
@@ -179,3 +180,24 @@ class TestHybridSearch:
         out = oracle.search_hybrid(64, IMAGENET, samples_per_pe=64)
         infeasible = [s for s in out if not s.feasible]
         assert all(s.reason for s in infeasible)
+
+    def test_each_candidate_checked_once(self, vgg_env, monkeypatch):
+        """``search_hybrid`` checks through the analyzer's memo, so a
+        repeated search re-checks nothing and ``project()`` adds no
+        second check."""
+        model, cluster, profile, _ = vgg_env
+        oracle = ParaDL(model, cluster, profile)
+        calls = {}
+        check = SpatialParallel.check
+
+        def counting_check(self, model, batch):
+            key = (self.grid, batch)
+            calls[key] = calls.get(key, 0) + 1
+            return check(self, model, batch)
+
+        monkeypatch.setattr(SpatialParallel, "check", counting_check)
+        first = oracle.search_hybrid(64, IMAGENET, samples_per_pe=8)
+        second = oracle.search_hybrid(64, IMAGENET, samples_per_pe=8)
+        assert calls and max(calls.values()) == 1
+        assert [(s.strategy, s.rank, s.reason) for s in first] == [
+            (s.strategy, s.rank, s.reason) for s in second]

@@ -16,7 +16,7 @@ from repro.network.topology import abci_like_cluster
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.search import SearchEngine, SearchSpace
-from repro.search.engine import TIMING_STAGES
+from repro.search.engine import _MIN_VECTOR_BATCH, TIMING_STAGES
 
 
 @pytest.fixture(scope="module")
@@ -109,12 +109,15 @@ class TestEngineTracing:
         assert stage["count"] == 1.0
 
     def test_scalar_path_metrics(self, oracle, dataset):
-        """``vectorize=False`` keeps the pre-array metric surface: the
-        choose-memo gauge returns and the fallback counter tallies."""
+        """A chunk under ``_MIN_VECTOR_BATCH`` cache-miss survivors takes
+        the one-candidate path: the choose-memo gauge returns and the
+        fallback counter tallies."""
+        space = SearchSpace(strategies=("d",), pe_budgets=(2, 4),
+                            samples_per_pe=(4,))
+        assert space.count() < _MIN_VECTOR_BATCH
         metrics = MetricsRegistry()
-        engine = SearchEngine(oracle, dataset, workers=1, metrics=metrics,
-                              vectorize=False)
-        engine.search(SPACE)
+        engine = SearchEngine(oracle, dataset, workers=1, metrics=metrics)
+        engine.search(space)
         snap = metrics.snapshot()
         assert "search.vectorized_candidates" not in snap
         assert snap["search.scalar_fallback_candidates"]["value"] > 0

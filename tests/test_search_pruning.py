@@ -21,7 +21,7 @@ from repro.search import (
     prune_memory_lower_bound,
     prune_structure,
 )
-from repro.search.pruning import _memory_lower_bound
+from repro.search.pruning import _memory_lower_bound, apply_pruners_batch
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +134,54 @@ class TestConservativeness:
             )
             compared += 1
         assert compared >= 10
+
+
+#: Structurally invalid candidates no search space expands: every limit
+#: of the rule table, zero and negative dimensions, unknown ids.
+_HAND_MADE = (
+    Candidate("d", 0, batch=4), Candidate("z", 4, batch=0),
+    Candidate("d", 8, batch=4), Candidate("s", 10 ** 6, batch=4),
+    Candidate("p", 10 ** 4, batch=4), Candidate("p", 4, batch=2, segments=8),
+    Candidate("f", 10 ** 5, batch=4), Candidate("c", 10 ** 5, batch=4),
+    Candidate("df", 8, batch=64, p1=3, p2=3),
+    Candidate("df", 8, batch=4, p1=8, p2=1),
+    Candidate("df", 8, batch=64, p1=-2, p2=-4),
+    Candidate("ds", 8, batch=64, p1=0, p2=0),
+    Candidate("ds", 10 ** 6, batch=10 ** 6, p1=1, p2=10 ** 6),
+    Candidate("df", 10 ** 6, batch=10 ** 6, p1=1, p2=10 ** 6),
+    Candidate("serial", 1, batch=32), Candidate("xx", 3, batch=0),
+    Candidate("d", 8, batch=10 ** 7), Candidate("f", 2, batch=10 ** 6),
+)
+
+
+class TestBatchParity:
+    """``apply_pruners_batch`` runs the same rule table as the scalar
+    pruners over columns: verdicts, reason texts and first-rejection
+    order must match ``apply_pruners`` candidate for candidate."""
+
+    @pytest.mark.parametrize("pes", (64, 256))
+    def test_exhaustive_zoo_spaces(self, pes):
+        from repro.data import DATASETS
+        from repro.models import MODEL_BUILDERS, build_model
+
+        space = SearchSpace(pe_budgets=(pes,), comm_policies=("paper", "auto"),
+                            exhaustive=True)
+        cluster = abci_like_cluster(pes)
+        cands = list(space.candidates(intra=cluster.node.gpus))
+        if pes == 256:
+            assert len(cands) == 9960
+        rejected = 0
+        for name in sorted(MODEL_BUILDERS):
+            sample = DATASETS["cosmoflow256"].sample
+            model = build_model(name, sample if name == "cosmoflow" else None)
+            ctx = PruningContext(model=model, cluster=cluster)
+            got = apply_pruners_batch(cands, ctx)
+            assert got == [apply_pruners(c, ctx) for c in cands], name
+            rejected += sum(r is not None for r in got)
+        assert rejected  # the spaces exercise the rejection paths
+
+    def test_hand_made_invalid_candidates(self, ctx):
+        cands = list(_HAND_MADE) * 4  # enough rows for the column pass
+        want = [apply_pruners(c, ctx) for c in cands]
+        assert sum(r is not None for r in want) >= len(_HAND_MADE) - 2
+        assert apply_pruners_batch(cands, ctx) == want

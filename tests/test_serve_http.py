@@ -9,8 +9,11 @@ configurations, 404/405/413 for transport-level misuse.
 """
 
 import contextlib
+import http.client
 import io
 import json
+import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -79,6 +82,37 @@ def test_project_envelope_is_feasible(client):
     envelope = client.project(PROJECT_DOC)
     assert envelope["feasible"] is True
     assert envelope["scenario"]["model"]["name"] == "alexnet"
+
+
+def test_keep_alive_requests_do_not_stall(server):
+    """Twenty requests on one reused HTTP/1.1 connection finish well
+    under the 20 x 40 ms a delayed-ACK stall per response would cost,
+    and each body matches the fresh-connection body byte for byte."""
+    url = urlsplit(server.url)
+    body = json.dumps(PROJECT_DOC).encode()
+    headers = {"Content-Type": "application/json"}
+
+    def post(conn):
+        conn.request("POST", "/v1/project", body, headers)
+        response = conn.getresponse()
+        assert response.status == 200
+        return response.read()
+
+    fresh = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        want = post(fresh)
+    finally:
+        fresh.close()
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        post(conn)  # warm the session pool and the connection
+        t0 = time.perf_counter()
+        bodies = [post(conn) for _ in range(20)]
+        elapsed = time.perf_counter() - t0
+    finally:
+        conn.close()
+    assert all(got == want for got in bodies)
+    assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
 
 
 def test_response_content_type_is_json(client):
