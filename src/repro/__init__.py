@@ -30,17 +30,23 @@ it records the equivalent scenario on ``oracle.scenario``):
 Instead of projecting one hand-picked configuration, let the search
 subsystem sweep the whole space (strategies x hybrid factorizations x PE
 budgets x batches x micro-batches x comm policies) with pruning, a
-persistent projection cache, and multi-objective ranking:
+persistent projection cache, and multi-objective ranking — a scenario
+with a ``search`` section, asked through its session (``repro search``
+on the command line):
 
->>> report = oracle.search(64, IMAGENET, cache="plan.json")  # doctest: +SKIP
+>>> plan = Session({"model": {"name": "resnet50"}, "cluster": {"pes": 64},
+...                 "search": {"cache": "plan.json"}})  # doctest: +SKIP
+>>> report = plan.search().report  # doctest: +SKIP
 >>> report.best.describe(), [e.describe() for e in report.frontier]  # doctest: +SKIP
 
 Or plan a whole model zoo at once — one search per model,
 per-model projection caches in a shared directory, consolidated
-frontier reports:
+frontier reports — with a ``sweep`` section (``repro sweep``):
 
->>> report = ParaDL.sweep(["resnet50", "vgg16"], IMAGENET, pes=64,
-...                       cache_dir="plan-cache", report_dir="reports")  # doctest: +SKIP
+>>> zoo = Session({"cluster": {"pes": 64},
+...                "search": {"cache_dir": "plan-cache"},
+...                "sweep": {"models": ["resnet50", "vgg16"],
+...                          "report_dir": "reports"}}).sweep()  # doctest: +SKIP
 
 Packages
 --------

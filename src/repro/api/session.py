@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from dataclasses import replace
 from typing import Callable, Optional, Sequence, Tuple
 
 from ..faults import Deadline, check_deadline, deadline_scope
@@ -42,7 +43,43 @@ from .spec import ScenarioSpec, SearchSpec, StrategySpec, SweepSpec
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["Session"]
+__all__ = ["Session", "search_space"]
+
+
+def search_space(scenario: ScenarioSpec):
+    """The :class:`~repro.search.space.SearchSpace` a scenario's
+    ``search`` section describes — the one mapping both
+    :meth:`Session.search` and :meth:`SweepRunner.from_scenario
+    <repro.search.sweep.SweepRunner.from_scenario>` use.
+
+    Strategies default to every id; ``pe_sweep`` widens the budget to
+    the power-of-two ladder up to ``cluster.pes``; ``comm_policies``
+    become the per-candidate policy list (each entry point decides how
+    a single policy binds).  An explicit ``training.batch`` pins the
+    global batch at the budget: weak scalers run ``batch // pes``
+    samples per PE, strong scalers the fixed batch itself
+    (divisibility spec-checked).
+    """
+    from ..core.math_utils import power_of_two_budgets
+    from ..search.space import DEFAULT_STRATEGIES, SearchSpace
+
+    search = scenario.search or SearchSpec()
+    training = scenario.training
+    pes = scenario.cluster.pes
+    batch = training.batch
+    return SearchSpace(
+        strategies=search.strategies or DEFAULT_STRATEGIES,
+        pe_budgets=(
+            tuple(power_of_two_budgets(pes)) if search.pe_sweep
+            else (pes,)),
+        samples_per_pe=(
+            (max(1, batch // pes),) if batch is not None
+            else (training.samples_per_pe,)),
+        fixed_batches=(batch,) if batch is not None else (),
+        segments=search.segments,
+        comm_policies=search.comm_policies,
+        exhaustive=search.exhaustive,
+    )
 
 
 class Session:
@@ -332,44 +369,30 @@ class Session:
         budget per evaluation chunk and per consumed result, raising
         :class:`~repro.faults.DeadlineExceeded` when it runs out.
         """
-        from ..core.math_utils import power_of_two_budgets
+        from ..search.engine import SearchEngine
 
         search = self.scenario.search or SearchSpec()
-        policies = self._search_policies()
-        training = self.scenario.training
-        # An explicit training.batch pins the global batch at the
-        # budget: weak scalers run batch/pes samples per PE, strong
-        # scalers the fixed batch itself (divisibility spec-checked).
-        samples_per_pe = (
-            max(1, training.batch // self.pes)
-            if training.batch is not None
-            else training.samples_per_pe)
+        space = search_space(self.scenario)
+        if len(space.comm_policies) == 1:
+            # One policy binds the search oracle (see _search_oracle),
+            # so candidates carry none of their own.
+            space = replace(space, comm_policies=())
         with self._deadline(deadline_s), self.tracer.span(
                 "session.search", model=self.scenario.model.name,
                 pes=self.pes):
             check_deadline("session.search")
-            report = self._search_oracle().search(
-                self.pes, self.dataset,
-                samples_per_pe=samples_per_pe,
-                fixed_batches=(
-                    (training.batch,) if training.batch is not None
-                    else None),
-                strategies=search.strategies or None,
-                pe_budgets=(
-                    power_of_two_budgets(self.pes) if search.pe_sweep
-                    else (self.pes,)),
-                exhaustive=search.exhaustive,
-                segments=search.segments,
+            engine = SearchEngine(
+                self._search_oracle(), self.dataset,
                 cache=self.projection_cache,
                 workers=search.workers,
                 executor=search.executor or "thread",
                 remote_workers=search.remote_workers or None,
-                weights=dict(search.weights) or None,
-                comm=policies if len(policies) > 1 else None,
-                on_result=on_result,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
+            report = engine.search(
+                space, weights=dict(search.weights) or None,
+                on_result=on_result)
         return SearchResult(
             scenario=self.scenario, model=self.model.name, report=report)
 

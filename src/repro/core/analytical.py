@@ -1197,7 +1197,13 @@ class _Cols:
                     self._log("fb", BatchChoice(
                         bc.collective, bc.seconds[:, j], bc.algorithms,
                         None if bc.index is None else bc.index[:, j]))
-        return (ka.layerwise_count * (ag.seconds + ar.seconds)).sum(axis=1)
+        # Summed left to right, as _Row.layerwise adds its sizes: numpy's
+        # pairwise .sum() can differ from that in the last ulp.
+        terms = ka.layerwise_count * (ag.seconds + ar.seconds)
+        total = np.zeros(len(terms))
+        for j in range(terms.shape[1]):
+            total += terms[:, j]
+        return total
 
     def _algorithms(self):
         """Per-row ``comm_algorithms``, assembled once per distinct

@@ -383,181 +383,6 @@ class ParaDL:
         ]
         return ranked + results
 
-    # ----------------------------------------------------------------- search
-    def search(
-        self,
-        p: int,
-        dataset: DatasetSpec,
-        *,
-        samples_per_pe: int = 32,
-        strategies: Optional[Sequence[str]] = None,
-        pe_budgets: Optional[Sequence[int]] = None,
-        segments: Sequence[int] = (2, 4, 8),
-        fixed_batches: Optional[Sequence[int]] = None,
-        exhaustive: bool = False,
-        cache=None,
-        cache_dir: Optional[str] = None,
-        workers: Optional[int] = None,
-        executor: str = "thread",
-        remote_workers: Optional[Sequence[str]] = None,
-        weights=None,
-        comm=None,
-        on_result=None,
-        tracer=None,
-        metrics=None,
-    ):
-        """Automated strategy search (the :mod:`repro.search` facade).
-
-        ``exhaustive`` widens the space from the PE-budget ladder to
-        *every* PE count up to the largest budget, and sweeps hybrid
-        factorizations over the full divisor lattice (p2 from 1 to p) —
-        the exhaustive-search mode the vectorized projection path makes
-        affordable.
-
-        ``fixed_batches`` pins the strong scalers' global batches
-        (default: one node's worth of samples per
-        :class:`~repro.search.space.SearchSpace` convention).
-
-        Expands a declarative space over the candidate strategies, every
-        hybrid ``p = p1 * p2`` factorization, the PE budgets (default:
-        just ``p``), and pipeline micro-batch counts; prunes infeasible
-        configurations before projecting; and returns a
-        :class:`~repro.search.engine.SearchReport` whose ``frontier`` is
-        the Pareto-optimal set over (epoch time, iteration time, per-PE
-        memory, PE count) and whose ``best`` is the scalarized pick
-        (default: pure throughput, so it matches or beats the best
-        :meth:`suggest` entry at the same budget).
-
-        ``comm`` opens the communication policy as a search dimension: a
-        policy name or a sequence of names ("paper", "auto",
-        "nccl-like") makes every candidate carry its policy, so the
-        frontier can mix e.g. a ring-cost pipeline against an
-        auto-selected hybrid.  ``None`` keeps the oracle's bound policy.
-
-        ``on_result`` is an optional callback invoked with each
-        :class:`~repro.search.engine.Evaluation` as it completes
-        (anytime search: the CLI's ``--stream``).
-
-        ``cache`` may be a path: repeated planning sessions then reuse
-        persisted projections (see :mod:`repro.search.cache`).
-        ``cache_dir`` instead names a shared directory of per-(model,
-        cluster) fingerprinted cache files — the cross-model layout
-        :meth:`sweep` uses.
-
-        ``executor`` picks the evaluation backend: ``"thread"``
-        (default) or ``"remote"``, which fans candidate chunks out to
-        the ``repro worker`` fleet named by
-        ``remote_workers`` (``host:port`` addresses; see
-        :mod:`repro.dist` and
-        :class:`~repro.search.engine.SearchEngine`).
-
-        ``tracer`` / ``metrics`` (a :class:`~repro.obs.tracer.Tracer` /
-        :class:`~repro.obs.metrics.MetricsRegistry`) opt the run into
-        the observability layer; both default off (no-op).
-        """
-        from ..search import DEFAULT_STRATEGIES, SearchEngine, SearchSpace
-
-        from ..collectives.selector import CommModel
-
-        if comm is None:
-            comm_policies = ()
-        elif isinstance(comm, str):
-            comm_policies = (comm,)
-        elif isinstance(comm, CommModel):
-            raise TypeError(
-                "search's comm dimension takes policy names (candidates "
-                "must be cacheable by key); to search under a custom "
-                "CommModel, construct ParaDL(..., comm=<model>) and leave "
-                "comm=None here"
-            )
-        else:
-            comm_policies = tuple(comm)
-        space = SearchSpace(
-            strategies=tuple(strategies) if strategies is not None
-            else DEFAULT_STRATEGIES,
-            pe_budgets=tuple(pe_budgets) if pe_budgets else (p,),
-            samples_per_pe=(samples_per_pe,),
-            fixed_batches=(
-                tuple(fixed_batches) if fixed_batches else ()),
-            segments=tuple(segments),
-            comm_policies=comm_policies,
-            exhaustive=exhaustive,
-        )
-        engine = SearchEngine(
-            self, dataset, cache=cache, cache_dir=cache_dir,
-            workers=workers, executor=executor,
-            remote_workers=remote_workers,
-            tracer=tracer, metrics=metrics,
-        )
-        return engine.search(space, weights=weights, on_result=on_result)
-
-    # ----------------------------------------------------------------- sweep
-    @staticmethod
-    def sweep(
-        models: Sequence[str],
-        dataset: DatasetSpec,
-        *,
-        pes: int = 64,
-        cluster=None,
-        samples_per_pe: int = 32,
-        strategies: Optional[Sequence[str]] = None,
-        pe_budgets: Optional[Sequence[int]] = None,
-        segments: Sequence[int] = (2, 4, 8),
-        comm=None,
-        executor: str = "thread",
-        workers: Optional[int] = None,
-        remote_workers: Optional[Sequence[str]] = None,
-        cache_dir: Optional[str] = None,
-        weights=None,
-        on_result=None,
-        report_dir: Optional[str] = None,
-        plot: bool = False,
-        **runner_kwargs,
-    ):
-        """Multi-model sweep: one :meth:`search` per zoo model (thread
-        executor by default; ``executor="remote"`` fans out to a ``repro
-        worker`` fleet), consolidated into per-model frontier CSVs and a
-        cross-model summary.
-
-        A sweep is not bound to one oracle, so this is a static facade
-        over :class:`~repro.search.sweep.SweepRunner`: ``models`` are zoo
-        names (:data:`repro.models.MODEL_BUILDERS`), ``cache_dir`` holds
-        one fingerprinted projection-cache file per (model, cluster) so a
-        warm re-run projects nothing, and ``report_dir`` (optional)
-        receives the consolidated frontier report (``plot=True`` adds a
-        matplotlib frontier plot when matplotlib is importable).  ``comm``
-        takes the same policy name / sequence the instance method takes.
-        Returns a :class:`~repro.search.sweep.SweepReport`.
-        """
-        from ..search.sweep import SweepRunner
-
-        if comm is None:
-            comm_policies: Sequence[str] = ()
-        elif isinstance(comm, str):
-            comm_policies = (comm,)
-        else:
-            comm_policies = tuple(comm)
-        runner = SweepRunner(
-            models, dataset,
-            pes=pes,
-            cluster=cluster,
-            samples_per_pe=samples_per_pe,
-            strategies=strategies,
-            pe_budgets=pe_budgets,
-            segments=segments,
-            comm_policies=comm_policies,
-            executor=executor,
-            workers=workers,
-            remote_workers=remote_workers,
-            cache_dir=cache_dir,
-            weights=weights,
-            **runner_kwargs,
-        )
-        report = runner.run(on_result=on_result)
-        if report_dir is not None:
-            report.write_report(report_dir, plot=plot)
-        return report
-
     # ---------------------------------------------------------------- accuracy
     def accuracy_against(
         self, projection: Projection, measured_epoch_time: float

@@ -119,8 +119,8 @@ class RemoteCoordinator:
         ``host:port`` worker addresses (unreachable ones are skipped
         with a warning; :meth:`connect` reports how many survived).
     payload:
-        The pickled oracle context: the ``(oracle, dataset, pruners,
-        traced)`` tuple the engine's remote backend builds.
+        The pickled oracle context: the ``(oracle, dataset, traced)``
+        tuple the engine's remote backend builds.
     digest:
         Context-fingerprint digest the workers verify the payload
         against (see :func:`repro.search.cache.fingerprint_digest`).

@@ -214,14 +214,17 @@ class WorkerServer:
                 return engine
         from ..search.engine import SearchEngine
 
-        oracle, dataset, pruners, traced = pickle.loads(payload)
+        oracle, dataset, traced = pickle.loads(payload)
         actual = fingerprint_digest(context_fingerprint(oracle))
         if actual != digest:
             raise ProtocolError(
                 f"context fingerprint mismatch: coordinator announced "
                 f"{digest}, shipped context hashes to {actual}")
+        # No pruners: the coordinator ships only the candidates its own
+        # pruners passed, and the digest does not cover pruners, so a
+        # worker-side stack could only disagree with the coordinator's.
         engine = SearchEngine(
-            oracle, dataset, pruners=pruners, workers=1,
+            oracle, dataset, pruners=(), workers=1,
             tracer=Tracer() if traced else None)
         analytical = getattr(oracle, "analytical", None)
         if analytical is not None and hasattr(analytical, "kernel"):
@@ -327,7 +330,8 @@ class WorkerServer:
     @staticmethod
     def _evaluate(engine, candidates) -> Dict[str, object]:
         """One chunk through the rebuilt engine
-        (:meth:`~repro.search.engine.SearchEngine.evaluate_many`), plus
+        (:meth:`~repro.search.engine.SearchEngine.evaluate_many`: build,
+        cache lookup, project — the coordinator already pruned), plus
         the drained tracer spans and the worker-side counter deltas the
         coordinator folds into its metrics registry.
 

@@ -724,34 +724,35 @@ def run_search_best(
     """Reproduce the paper's best-strategy claims through the automated
     search subsystem instead of enumeration by hand.
 
-    For every (model, PE budget) planning problem, compare the best
-    feasible :meth:`ParaDL.suggest` entry (the paper's fixed eight-entry
-    ranking) against the scalarized best of :meth:`ParaDL.search` over
-    the opened-up configuration space — every hybrid factorization and
-    micro-batch count.  Search must match or beat suggest on every row
-    (its candidate set is a superset); rows where it strictly wins are
+    For every (model, PE budget) planning problem, one
+    :class:`~repro.api.session.Session` compares the best feasible
+    :meth:`~repro.api.session.Session.suggest` entry (the paper's fixed
+    eight-entry ranking) against the scalarized best of
+    :meth:`~repro.api.session.Session.search` over the opened-up
+    configuration space — every hybrid factorization and micro-batch
+    count.  Search must match or beat suggest on every row (its
+    candidate set is a superset); rows where it strictly wins are
     configurations the paper's fixed ranking misses.
     """
+    from ..api.session import Session
+
     cases = [("resnet50", 64), ("vgg16", 64)]
     if not quick:
         cases += [("resnet50", 256), ("vgg16", 256), ("alexnet", 64)]
+    search = {} if workers is None else {"workers": workers}
     rows: List[SearchBestRow] = []
     for model_name, p in cases:
-        model = build_model(model_name, None)
-        cluster = abci_like_cluster(max(p, 4))
-        profile = profile_model(model, samples_per_pe=samples_per_pe)
-        oracle = ParaDL(model, cluster, profile)
-        dataset = IMAGENET
-        feasible = [
-            s for s in oracle.suggest(p, dataset,
-                                      samples_per_pe=samples_per_pe)
-            if s.feasible
-        ]
+        session = Session({
+            "model": {"name": model_name},
+            "cluster": {"pes": p},
+            "training": {"samples_per_pe": samples_per_pe},
+            "search": search,
+        })
+        feasible = [s for s in session.suggest().suggestions if s.feasible]
         if not feasible:
             continue
         sug = min(feasible, key=lambda s: s.epoch_time)
-        report = oracle.search(p, dataset, samples_per_pe=samples_per_pe,
-                               workers=workers)
+        report = session.search().report
         if report.best is None:
             continue
         rows.append(SearchBestRow(
@@ -778,37 +779,42 @@ def run_sweep(
     pes: int = 64,
     samples_per_pe: int = 32,
     executor: str = "thread",
-    workers: Optional[int] = None,
+    workers=None,
     cache_dir: Optional[str] = None,
     report_dir: Optional[str] = None,
 ):
-    """Run a consolidated multi-model sweep over the zoo.
+    """Run a consolidated multi-model sweep over the zoo through
+    :meth:`~repro.api.session.Session.sweep`.
 
     ``quick=True`` (the CI default) trims the space to the weak-scaling
     strategies at a single micro-batch count; the full run opens the
     whole space and adds ResNet-152 (if absent).  Both run on the thread
-    executor unless ``executor="remote"`` (with ``workers``) sends the
-    projections to a ``repro worker`` fleet.  ``cache_dir``
-    persists per-model projection caches so a re-run projects nothing;
-    ``report_dir`` receives per-model frontier CSVs + the cross-model
-    summary.  Returns a :class:`~repro.search.sweep.SweepReport`.
+    executor (``workers`` threads) unless ``executor="remote"`` sends
+    the projections to the ``repro worker`` fleet whose ``host:port``
+    addresses ``workers`` lists.  ``cache_dir`` persists per-model
+    projection caches so a re-run projects nothing; ``report_dir``
+    receives per-model frontier CSVs + the cross-model summary.
+    Returns a :class:`~repro.search.sweep.SweepReport`.
     """
-    from ..search.sweep import SweepRunner
+    from ..api.session import Session
 
     if not quick and "resnet152" not in models:
         models = tuple(models) + ("resnet152",)
-    runner = SweepRunner(
-        models,
-        IMAGENET,
-        pes=pes,
-        samples_per_pe=samples_per_pe,
-        strategies=("d", "z", "df") if quick else None,
-        segments=(4,) if quick else (2, 4, 8),
-        executor=executor,
-        workers=workers,
-        cache_dir=cache_dir,
-    )
-    report = runner.run()
+    search = {"executor": executor, "segments": [4] if quick else [2, 4, 8]}
+    if quick:
+        search["strategies"] = ["d", "z", "df"]
+    if isinstance(workers, int):
+        search["workers"] = workers
+    elif workers is not None:
+        search["remote_workers"] = list(workers)
+    if cache_dir is not None:
+        search["cache_dir"] = cache_dir
+    sweep = {"models": list(models)}
     if report_dir is not None:
-        report.write_report(report_dir)
-    return report
+        sweep["report_dir"] = report_dir
+    return Session({
+        "cluster": {"pes": pes},
+        "training": {"samples_per_pe": samples_per_pe},
+        "search": search,
+        "sweep": sweep,
+    }).sweep().report

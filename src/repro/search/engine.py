@@ -231,7 +231,7 @@ class SearchEngine:
         worker`` once and streams candidate chunks over sockets; it
         degrades to the thread backend (with a ``RuntimeWarning``) when
         the context cannot pickle or no worker is reachable, so results
-        are never lost to a custom pruner or a down fleet — see
+        are never lost to an unpicklable oracle or a down fleet — see
         :mod:`repro.dist` and ``docs/distributed.md``.
     remote_workers:
         ``host:port`` worker addresses for ``executor="remote"``.  As a
@@ -620,8 +620,7 @@ class SearchEngine:
             return
         try:
             payload = pickle.dumps(
-                (self.oracle, self.dataset, self.pruners,
-                 self.tracer.enabled))
+                (self.oracle, self.dataset, self.tracer.enabled))
         except Exception as exc:  # noqa: BLE001 - any pickling failure
             warnings.warn(
                 f"oracle context cannot be pickled ({exc}); falling back "

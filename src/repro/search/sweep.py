@@ -16,8 +16,11 @@ Pareto frontiers into a consolidated :class:`SweepReport`:
 * an optional matplotlib frontier plot (soft import — sweeping never
   requires matplotlib; :func:`plot_frontiers` returns ``None`` without it).
 
-Entry points: ``ParaDL.sweep(...)``, ``repro sweep`` in the CLI, and
-:func:`repro.harness.experiments.run_sweep`.
+Entry point: :meth:`repro.api.Session.sweep` (``repro sweep`` in the
+CLI, ``POST /v1`` documents with a ``sweep`` section, and
+:func:`repro.harness.experiments.run_sweep` all go through it), which
+builds its runner with :meth:`SweepRunner.from_scenario`; constructing a
+:class:`SweepRunner` directly is the engine-level API.
 """
 
 from __future__ import annotations
@@ -349,9 +352,9 @@ class SweepRunner:
         independent of the policy-list order).  ``cluster`` may be
         passed pre-built to share one instance with a session.
         """
+        from ..api.session import search_space
         from ..api.spec import ScenarioSpec, SearchSpec, SweepSpec
         from ..collectives.selector import CommModel
-        from ..core.math_utils import power_of_two_budgets
         from ..data.datasets import DATASETS
 
         if not isinstance(scenario, ScenarioSpec):
@@ -371,22 +374,15 @@ class SweepRunner:
                 "search.cache",
                 "a sweep persists one cache file per model; use "
                 "search.cache_dir instead")
-        pes = scenario.cluster.pes
         cluster = cluster or scenario.cluster.build()
         runner = cls(
             sweep.models,
             DATASETS[scenario.training.dataset],
-            pes=pes,
+            pes=scenario.cluster.pes,
             cluster=cluster,
             samples_per_pe=scenario.training.samples_per_pe,
             optimizer=scenario.training.optimizer,
             gamma=scenario.training.gamma,
-            strategies=search.strategies or None,
-            pe_budgets=(
-                tuple(power_of_two_budgets(pes)) if search.pe_sweep
-                else None),
-            segments=search.segments,
-            comm_policies=search.comm_policies,
             executor=search.executor or "thread",
             workers=search.workers,
             remote_workers=search.remote_workers or None,
@@ -395,9 +391,10 @@ class SweepRunner:
                 scenario.comm.build(cluster)
                 if not search.comm_policies
                 # Policy dimension open: candidates pin their own
-                # policy, the oracle stays on the canonical paper
-                # default — but per-collective forcing still applies,
-                # exactly as Session._search_oracle preserves it.
+                # policy — a single one too — and the oracle stays on
+                # the canonical paper default, but per-collective
+                # forcing still applies, exactly as
+                # Session._search_oracle preserves it.
                 else CommModel(cluster, policy="paper",
                                algo=dict(scenario.comm.algo))),
             weights=dict(search.weights) or None,
@@ -405,21 +402,7 @@ class SweepRunner:
             tracer=tracer,
             metrics=metrics,
         )
-        if scenario.training.batch is not None:
-            from dataclasses import replace
-
-            # An explicit training.batch pins the global batch at the
-            # budget — weak scalers via batch/pes samples per PE,
-            # strong scalers via the fixed batch (divisibility
-            # spec-checked) — without touching the profiling grain, so
-            # `repro search` and a single-model sweep cost one document
-            # identically.
-            batch = scenario.training.batch
-            runner.space = replace(
-                runner.space,
-                samples_per_pe=(max(1, batch // pes),),
-                fixed_batches=(batch,),
-            )
+        runner.space = search_space(scenario)
         return runner
 
     # ------------------------------------------------------------- plumbing
@@ -452,7 +435,7 @@ class SweepRunner:
     def checkpoint_meta(self) -> Dict[str, object]:
         """The sweep identity pinned in a checkpoint header: resuming a
         journal written by a different zoo or search space is refused."""
-        return {
+        meta: Dict[str, object] = {
             "models": list(self.models),
             "pes": self.pes,
             "strategies": list(self.space.strategies),
@@ -462,6 +445,11 @@ class SweepRunner:
             "segments": list(self.space.segments),
             "comm_policies": list(self.space.comm_policies),
         }
+        # Recorded only when set, so journals that predate the key
+        # still resume the (non-exhaustive) sweep they describe.
+        if self.space.exhaustive:
+            meta["exhaustive"] = True
+        return meta
 
     @staticmethod
     def _replay_cell(cell: Dict[str, object]) -> SweepResult:

@@ -136,7 +136,7 @@ class TestProtocol:
 
 class TestHandshake:
     def test_fingerprint_mismatch_refused(self, oracle, dataset):
-        payload = pickle.dumps((oracle, dataset, None, False))
+        payload = pickle.dumps((oracle, dataset, False))
         with WorkerServer() as worker:
             coord = RemoteCoordinator(
                 [worker.address], payload, "bogusdigest00000")
@@ -144,7 +144,7 @@ class TestHandshake:
             assert coord.stats["workers_unreachable"] == 1
 
     def test_context_cached_across_connections(self, oracle, dataset):
-        payload = pickle.dumps((oracle, dataset, None, False))
+        payload = pickle.dumps((oracle, dataset, False))
         digest = fingerprint_digest(context_fingerprint(oracle))
         with WorkerServer() as worker:
             first = RemoteCoordinator([worker.address], payload, digest)
@@ -171,19 +171,21 @@ class TestHandshake:
                 sock.close()
 
     def test_stale_context_tuple_version_refused(self, oracle, dataset):
-        """Version 1 shipped a five-field context tuple; a peer still
-        speaking it is refused at HELLO instead of failing to unpack."""
-        assert PROTOCOL_VERSION >= 2
-        with WorkerServer() as worker:
-            sock = socket.create_connection(
-                parse_address(worker.address), timeout=5)
-            try:
-                send_frame(sock, "hello", version=1, digest="d")
-                kind, fields = recv_frame(sock, timeout=5)
-                assert kind == "error"
-                assert "version mismatch" in fields["message"]
-            finally:
-                sock.close()
+        """Version 1 shipped a five-field context tuple and version 2 a
+        four-field one (it carried the pruners); a peer still speaking
+        either is refused at HELLO instead of failing to unpack."""
+        assert PROTOCOL_VERSION >= 3
+        for version in (1, 2):
+            with WorkerServer() as worker:
+                sock = socket.create_connection(
+                    parse_address(worker.address), timeout=5)
+                try:
+                    send_frame(sock, "hello", version=version, digest="d")
+                    kind, fields = recv_frame(sock, timeout=5)
+                    assert kind == "error"
+                    assert "version mismatch" in fields["message"]
+                finally:
+                    sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +238,51 @@ class TestRemoteParity:
         assert _blob(report) == _blob(thread_report)
 
     def test_unpicklable_context_degrades_to_threads(
-            self, oracle, dataset):
-        # A lambda pruner can't pickle, so the context can't ship; the
-        # reference is a thread engine under the SAME pruners (custom
-        # pruners replace the defaults, so thread_report doesn't apply).
-        unpicklable = [lambda c, ctx: None]
-        ref = SearchEngine(
-            oracle, dataset, executor="thread",
-            pruners=[lambda c, ctx: None]).search(SPACE)
+            self, oracle, dataset, thread_report):
+        # A lambda on the oracle can't pickle, so the context can't
+        # ship; the fingerprint (and so every answer) is unchanged.
+        import copy
+
+        unpicklable = copy.copy(oracle)
+        unpicklable.hook = lambda: None
         with WorkerServer() as worker:
             engine = SearchEngine(
-                oracle, dataset, executor="remote",
-                workers=[worker.address], pruners=unpicklable)
+                unpicklable, dataset, executor="remote",
+                workers=[worker.address])
             with pytest.warns(RuntimeWarning, match="cannot be pickled"):
                 report = engine.search(SPACE)
             assert worker.chunks_served == 0
-        assert _blob(report) == _blob(ref)
+        assert _blob(report) == _blob(thread_report)
+
+    def test_worker_does_not_reprune_after_other_pruners_installed(self):
+        """The worker's engine outlives the search that installed it.
+        A second search under other pruners (here none) ships what the
+        first one pruned; the worker must project those candidates, not
+        prune them again with the first search's stack."""
+        from repro.api import Session
+        from repro.search import ProjectionCache
+
+        session = Session({"model": {"name": "vgg16"},
+                           "cluster": {"pes": 64}})
+        oracle, dataset = session.oracle, session.dataset
+        space = SearchSpace(pe_budgets=(64,), exhaustive=True)
+
+        def two_searches(**kwargs):
+            cache = ProjectionCache(context=context_fingerprint(oracle))
+            SearchEngine(oracle, dataset, cache=cache, **kwargs
+                         ).search(space)
+            return SearchEngine(oracle, dataset, cache=cache, pruners=[],
+                                **kwargs).search(space)
+
+        reference = two_searches(executor="thread")
+        assert any(not e.feasible and not e.pruned and
+                   e.reason.startswith("memory")
+                   for e in reference.evaluations)
+        with WorkerServer() as worker:
+            report = two_searches(executor="remote",
+                                  workers=[worker.address])
+            assert worker.chunks_served >= 2
+        assert _blob(report) == _blob(reference)
 
     def test_warm_cache_remote_projects_nothing(self, oracle, dataset):
         from repro.search import ProjectionCache
@@ -304,7 +335,7 @@ class TestCoordinatorFoldIn:
         candidates = list(SPACE.candidates(intra=oracle.cluster.node.gpus))
         half = len(candidates) // 2
         chunks = [candidates[:half], candidates[half:]]
-        payload = pickle.dumps((oracle, dataset, None, False))
+        payload = pickle.dumps((oracle, dataset, False))
         digest = fingerprint_digest(context_fingerprint(oracle))
         with WorkerServer() as w1, WorkerServer() as w2:
             coord = RemoteCoordinator(

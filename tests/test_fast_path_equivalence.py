@@ -274,6 +274,44 @@ def test_randomized_mix_value_and_error_parity():
     assert errors, "expected some infeasible draws across the zoo"
 
 
+@pytest.mark.parametrize("ds_name", ["cosmoflow256", "cosmoflow512"])
+def test_layerwise_columns_equal_rows_exactly(ds_name):
+    """``project()`` == ``project_batch()`` bit for bit on the layer-wise
+    leg: both add a row's distinct activation sizes left to right (a
+    pairwise column sum differed in the last ulp of ``comm_fb`` on
+    these CosmoFlow data+filter factorizations)."""
+    from repro.core.math_utils import divisors
+    from repro.core.strategies import DataFilterParallel
+
+    dataset = DATASETS[ds_name]
+    model = build_model("cosmoflow", dataset.sample)
+    analytical = ParaDL(model, abci_like_cluster(PES),
+                        profile_model(model, samples_per_pe=32)).analytical
+    cases = [
+        (DataFilterParallel(groups=p // p2, parts=p2), spp * p)
+        for p in divisors(PES) if p > 1
+        for p2 in divisors(p)
+        for spp in (1, 2, 4)
+    ]
+    results = analytical.project_batch(
+        [s for s, _ in cases], [b for _, b in cases], dataset.num_samples)
+    checked = 0
+    for (strategy, batch), got in zip(cases, results):
+        want = _row_outcome(
+            analytical, strategy, batch, dataset.num_samples, None)
+        label = f"{strategy.describe()} B={batch}"
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want), label
+            continue
+        assert got.per_iteration.asdict() == want.per_iteration.asdict(), \
+            label
+        assert got.per_epoch.asdict() == want.per_epoch.asdict(), label
+        assert got.memory_bytes == want.memory_bytes, label
+        assert got.comm_algorithms == want.comm_algorithms, label
+        checked += 1
+    assert checked
+
+
 def test_checkpointed_pipeline_batched_matches_reference():
     """Checkpointed and plain pipelines share one closed form: a mixed
     batch (several stage counts, so the per-row memory max runs over

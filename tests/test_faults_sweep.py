@@ -157,6 +157,25 @@ class TestCheckpointGuards:
             SweepCheckpoint(str(tmp_path / "j.ckpt")).prepare(
                 {"models": ["b"]}, resume=True)
 
+    def test_exhaustive_is_part_of_the_sweep_identity(self, tmp_path):
+        doc = {"cluster": {"pes": 8},
+               "search": {"strategies": ["d"], "segments": [2]},
+               "sweep": {"models": ["alexnet"]}}
+        plain = SweepRunner.from_scenario(doc)
+        exhaustive = SweepRunner.from_scenario(dict(
+            doc, search=dict(doc["search"], exhaustive=True)))
+        # Absent unless set: a journal from before the key existed
+        # carries the same header and still resumes a plain sweep.
+        assert "exhaustive" not in plain.checkpoint_meta()
+        assert exhaustive.checkpoint_meta()["exhaustive"] is True
+        journal = str(tmp_path / "j.ckpt")
+        first = plain.run(checkpoint=journal)
+        with pytest.raises(ValueError, match="different sweep"):
+            exhaustive.run(checkpoint=journal, resume=True)
+        replayed = SweepRunner.from_scenario(doc).run(
+            checkpoint=journal, resume=True)
+        assert replayed.summary_rows() == first.summary_rows()
+
     def test_schema_mismatch_refused(self, tmp_path):
         path = tmp_path / "j.ckpt"
         path.write_text('{"kind": "header", "schema": 99, "meta": {}}\n')

@@ -124,6 +124,25 @@ class TestFlagOverrides:
         assert "model.layers[0]" in captured.err
 
 
+class TestSweepSearchParity:
+    """A sweep searches each model's space exactly as ``repro search``
+    searches it on that model."""
+
+    def test_exhaustive_sweep_matches_search_candidate_counts(self,
+                                                              capsys):
+        flags = ["-p", "16", "--strategies", "d,df", "--segments", "2",
+                 "--exhaustive", "--json"]
+        assert main(["sweep", "--models", "alexnet,vgg16"] + flags) == 0
+        sweep = json.loads(capsys.readouterr().out)
+        for model in ("alexnet", "vgg16"):
+            assert main(["search", "--model", model] + flags) == 0
+            search = json.loads(capsys.readouterr().out)
+            want = search["stats"]["candidates"]
+            assert sweep["results"][model]["stats"]["candidates"] == want
+            # The exhaustive lattice is wider than the budget ladder.
+            assert want > 10
+
+
 class TestUnifiedJson:
     """Every --json payload is a schema-versioned result envelope."""
 

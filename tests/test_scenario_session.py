@@ -142,6 +142,25 @@ class TestVerbs:
         assert all(e.projection.comm_policy == "auto"
                    for e in result.report.evaluations if e.feasible)
 
+    def test_single_policy_binding_renderings(self):
+        """A single search policy other than ``comm.policy`` binds per
+        entry point: a search binds its oracle to the policy, so the
+        candidate carries none; a sweep pins it on every candidate.
+        Same costing either way, different renderings (left as is: the
+        envelopes are byte-pinned)."""
+        doc = {"model": {"name": "alexnet"}, "cluster": {"pes": 16},
+               "search": {"strategies": ["d"], "comm_policies": ["auto"]}}
+        search = Session(Scenario.from_dict(doc)).search().to_dict()
+        sweep = Session(Scenario.from_dict(dict(
+            doc, sweep={"models": ["alexnet"]}))).sweep().to_dict()
+        assert search["best"]["candidate"] == "d(p=16, B=512)"
+        assert sweep["summary"][0]["best"] == "d(p=16) B=512 comm=auto"
+        swept = sweep["results"]["alexnet"]["best"]
+        assert swept["candidate"] == "d(p=16, B=512, comm=auto)"
+        assert search["best"]["comm_policy"] == swept["comm_policy"] == \
+            "auto"
+        assert search["best"]["epoch_s"] == swept["epoch_s"]
+
     def test_sweep(self):
         session = Session(Scenario.from_dict({
             "cluster": {"pes": 8},

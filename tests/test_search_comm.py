@@ -60,8 +60,9 @@ class TestEngineCommDimension:
             paper.projection.per_epoch.communication * (1 + 1e-12)
 
     def test_search_with_comm_sweep(self, oracle):
-        report = oracle.search(
-            16, IMAGENET, strategies=("d", "z"), comm=("paper", "auto"))
+        report = SearchEngine(oracle, IMAGENET).search(SearchSpace(
+            strategies=("d", "z"), pe_budgets=(16,),
+            comm_policies=("paper", "auto")))
         policies = {
             e.projection.comm_policy for e in report.evaluations if e.feasible
         }
@@ -78,8 +79,9 @@ class TestEngineCommDimension:
 
     def test_on_result_callback_sees_every_evaluation(self, oracle):
         seen = []
-        report = oracle.search(
-            16, IMAGENET, strategies=("d", "s"), on_result=seen.append)
+        report = SearchEngine(oracle, IMAGENET).search(
+            SearchSpace(strategies=("d", "s"), pe_budgets=(16,)),
+            on_result=seen.append)
         assert len(seen) == len(report.evaluations)
 
 

@@ -1,4 +1,4 @@
-"""Integration + property tests for repro.search.engine (and the ParaDL
+"""Integration + property tests for repro.search.engine (and the Session
 facade / CLI wiring around it)."""
 
 import pytest
@@ -109,7 +109,8 @@ class TestSearch:
     def test_best_matches_or_beats_suggest(self, oracle, dataset):
         """The acceptance property: the scalarized pick is at least as
         good as the best feasible suggest() entry at the same budget."""
-        report = oracle.search(16, dataset, samples_per_pe=4)
+        report = SearchEngine(oracle, dataset).search(
+            SearchSpace(pe_budgets=(16,), samples_per_pe=(4,)))
         feasible = [s for s in oracle.suggest(16, dataset, samples_per_pe=4)
                     if s.feasible]
         assert feasible and report.best is not None
@@ -150,9 +151,15 @@ class TestCachePersistence:
 
 
 class TestFacadeAndCli:
-    def test_paradl_search_facade(self, oracle, dataset):
-        report = oracle.search(8, dataset, samples_per_pe=4,
-                               strategies=("d", "df"), workers=2)
+    def test_session_search_facade(self):
+        from repro.api import Session
+
+        report = Session({
+            "model": {"name": "alexnet"},
+            "cluster": {"pes": 8},
+            "training": {"samples_per_pe": 4},
+            "search": {"strategies": ["d", "df"], "workers": 2},
+        }).search().report
         assert report.best is not None
         sids = {e.candidate.sid for e in report.evaluations}
         assert sids <= {"d", "df"}

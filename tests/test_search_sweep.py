@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from repro.api import Session
 from repro.api.spec import ScenarioSpec, ScenarioValidationError
 from repro.cli import main
 from repro.core.calibration import profile_model
@@ -93,12 +94,14 @@ class TestProcessExecutor:
             {"cluster": {"pes": 8}, "sweep": {"models": ["alexnet"]}})
         assert runner.executor == "thread"
 
-    def test_paradl_sweep_defaults_to_thread(self, dataset, monkeypatch):
+    def test_session_sweep_defaults_to_thread(self, monkeypatch):
         executors = _record_executors(monkeypatch)
-        ParaDL.sweep(
-            ["small"], dataset, pes=8, samples_per_pe=4,
-            strategies=("d",), segments=(2,),
-            oracle_factory=lambda name: _toy_oracle())
+        Session({
+            "cluster": {"pes": 8},
+            "training": {"samples_per_pe": 4},
+            "search": {"strategies": ["d"], "segments": [2]},
+            "sweep": {"models": ["alexnet"]},
+        }).sweep()
         assert executors == ["thread"]
 
     def test_cli_sweep_defaults_to_thread(self, capsys, monkeypatch):
@@ -246,9 +249,12 @@ class TestSweepRunner:
             assert png is not None and os.path.exists(png)
 
 
-class TestParaDLSweepFacade:
-    def test_static_sweep(self, dataset, tmp_path):
-        report = ParaDL.sweep(
+class TestSweepRunnerStandalone:
+    """A directly constructed runner (the engine-level API examples and
+    benchmarks use): run, then write the report."""
+
+    def test_run_then_write_report(self, dataset, tmp_path):
+        runner = SweepRunner(
             ["small"],
             dataset,
             pes=8,
@@ -257,25 +263,26 @@ class TestParaDLSweepFacade:
             segments=(2,),
             executor="thread",
             cache_dir=str(tmp_path / "cache"),
-            report_dir=str(tmp_path / "report"),
             oracle_factory=lambda name: _toy_oracle(),
         )
+        report = runner.run()
+        report.write_report(str(tmp_path / "report"))
         assert isinstance(report, SweepReport)
         assert report.results[0].best is not None
         assert os.path.exists(str(tmp_path / "report" / "summary.csv"))
 
     def test_comm_policy_dimension(self, dataset, tmp_path):
-        report = ParaDL.sweep(
+        report = SweepRunner(
             ["small"],
             dataset,
             pes=8,
             samples_per_pe=4,
             strategies=("d",),
             segments=(2,),
-            comm="paper,auto".split(","),
+            comm_policies=("paper", "auto"),
             executor="thread",
             oracle_factory=lambda name: _toy_oracle(),
-        )
+        ).run()
         policies = {
             e.candidate.comm
             for e in report.results[0].report.evaluations

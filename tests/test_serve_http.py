@@ -416,11 +416,13 @@ def test_job_post_on_job_id_is_405(client):
 # ---------------------------------------------------------- health/metrics
 
 def test_healthz_reports_pool_and_jobs(client):
+    client.project(PROJECT_DOC)
     blob = client.health()
     assert blob["kind"] == "health"
     assert blob["status"] == "ok"
     assert blob["uptime_s"] >= 0
     assert blob["pool"]["capacity"] == 8.0
+    assert blob["pool"]["sessions"] >= 1
     assert set(blob["jobs"]) >= {"jobs", "pending", "running", "done"}
 
 
